@@ -131,7 +131,7 @@ BenchConfig ParseBenchArgs(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale=N] [--full] [--backend=trie|hash_tree|"
-                   "linear|vertical|parallel|auto] [--threads=N] "
+                   "linear|vertical|auto] [--threads=N] "
                    "[--skip-apriori] "
                    "[--budget=MS] [--json=FILE]\n",
                    argv[0]);

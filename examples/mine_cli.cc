@@ -5,10 +5,10 @@
 //     --min-support=0.01         fraction of |D| (default 0.01)
 //     --algorithm=pincer         apriori | pincer | pincer-adaptive
 //     --backend=trie             trie | hash_tree | linear | vertical |
-//                                parallel | auto (auto picks trie or
-//                                vertical per pass from a deterministic
-//                                cost model; the pick lands in the stats
-//                                as per-pass backend_used)
+//                                auto (auto picks trie or vertical per
+//                                pass from a deterministic cost model; the
+//                                pick lands in the stats as per-pass
+//                                backend_used)
 //     --threads=1                counting worker threads (0 = all cores);
 //                                results are identical for every value
 //     --rules=<min_confidence>   also generate association rules
@@ -55,7 +55,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <database.basket> [--min-support=F] "
                "[--algorithm=apriori|pincer|pincer-adaptive] "
-               "[--backend=trie|hash_tree|linear|vertical|parallel|auto] "
+               "[--backend=trie|hash_tree|linear|vertical|auto] "
                "[--threads=N] "
                "[--rules=MIN_CONFIDENCE] [--stats] [--stats-json=FILE] "
                "[--malformed=strict|skip] [--checkpoint=FILE] [--resume]\n";
@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   }
 
   MiningOptions options;
+  DatabaseReadOptions read_options;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
   double min_confidence = -1.0;
   bool print_stats = false;
@@ -151,7 +152,7 @@ int main(int argc, char** argv) {
         std::cerr << "--malformed must be 'strict' or 'skip'\n";
         return 2;
       }
-      options.malformed_rows = *policy;
+      read_options.malformed_rows = *policy;
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       checkpoint_path = arg.substr(13);
       if (checkpoint_path.empty()) {
@@ -170,8 +171,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  DatabaseReadOptions read_options;
-  read_options.malformed_rows = options.malformed_rows;
   DatabaseReadReport read_report;
   const StatusOr<TransactionDatabase> db =
       ReadDatabaseFromFile(path, read_options, &read_report);

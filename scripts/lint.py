@@ -26,6 +26,14 @@ Enforces project rules that clang-tidy cannot express (CI job
                    analysis. Suppress (e.g. in a test that needs a bare
                    std::mutex on purpose) with
                    `// lint: allow-raw-mutex(<reason>)`.
+  run-plumbing     under src/apriori/, src/core/, src/extensions/ and
+                   src/mining/, only the run context
+                   (src/mining/mining_run.{h,cc}) constructs a ThreadPool,
+                   calls CreateCounter, or attaches counter sinks
+                   (set_metrics / set_scan_budget). Every driver gets its
+                   pool, counter, budget and pass cap from MiningRun, so the
+                   run semantics live in one place instead of drifting
+                   apart in copies.
   include-guard    every header uses a PINCER_<PATH>_H_ include guard whose
                    name matches its path (src/ prefix stripped), so moves
                    and copies cannot silently collide.
@@ -66,6 +74,13 @@ STD_ENDL = re.compile(r"\bstd::endl\b")
 NONDETERMINISM = re.compile(
     r"\b(rand|srand)\s*\(|std::(random_device|mt19937(_64)?|"
     r"default_random_engine)\b"
+)
+RUN_PLUMBING_DIRS = ("src/apriori/", "src/core/", "src/extensions/", "src/mining/")
+RUN_CONTEXT_FILES = {"src/mining/mining_run.h", "src/mining/mining_run.cc"}
+RUN_PLUMBING = re.compile(
+    r"make_unique\s*<\s*ThreadPool\s*>|\bThreadPool\s+[A-Za-z_]\w*\s*[({]|"
+    r"\bThreadPool\s*[({]|\bCreateCounter\s*\(|"
+    r"(\.|->)\s*(set_metrics|set_scan_budget)\s*\("
 )
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
@@ -218,6 +233,22 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        if (
+            is_cpp
+            and relpath.startswith(RUN_PLUMBING_DIRS)
+            and relpath not in RUN_CONTEXT_FILES
+            and RUN_PLUMBING.search(code)
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "run-plumbing",
+                    "pool, counter and sink plumbing belongs to the run "
+                    "context — use MiningRun (src/mining/mining_run.h)",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -322,6 +353,38 @@ SELF_TEST_CASES = {
     "raw-mutex-comment-ok": (
         "src/core/x.cc",
         "// std::mutex is forbidden outside sync.h\n",
+    ),
+    "run-plumbing-pool": ("src/core/x.cc", "ThreadPool pool(threads);\n"),
+    "run-plumbing-make-unique": (
+        "src/extensions/x.cc",
+        "auto pool = std::make_unique<ThreadPool>(threads);\n",
+    ),
+    "run-plumbing-counter": (
+        "src/apriori/x.cc",
+        "auto counter = CreateCounter(options.backend, db, &pool);\n",
+    ),
+    "run-plumbing-metrics": (
+        "src/mining/x.cc",
+        "counter->set_metrics(&stats.counting);\n",
+    ),
+    "run-plumbing-budget": ("src/core/x.cc", "counter.set_scan_budget(&b);\n"),
+    "run-plumbing-run-context-ok": (
+        "src/mining/mining_run.cc",
+        "owned_pool_ = std::make_unique<ThreadPool>(threads);\n"
+        "counter_ = CreateCounter(options.backend, db, pool_);\n"
+        "counter_->set_scan_budget(nullptr);\n",
+    ),
+    "run-plumbing-serve-ok": (
+        "src/serve/x.cc",
+        "pool_ = std::make_unique<ThreadPool>(threads);\n",
+    ),
+    "run-plumbing-pointer-ok": (
+        "src/core/x.cc",
+        "ThreadPool* pool = run.pool();\nmfcs_.set_thread_pool(pool);\n",
+    ),
+    "run-plumbing-comment-ok": (
+        "src/core/x.cc",
+        "// only the run context calls CreateCounter(backend, db)\n",
     ),
     "nondeterminism": ("src/core/x.cc", "int r = rand();\n"),
     "nondeterminism-gen-ok": ("src/gen/x.cc", "std::mt19937 rng;\n"),

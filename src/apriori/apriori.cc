@@ -1,20 +1,14 @@
 #include "apriori/apriori.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
 #include "apriori/apriori_gen.h"
-#include "counting/array_counters.h"
-#include "counting/counter_factory.h"
-#include "counting/scan_budget.h"
 #include "itemset/itemset_ops.h"
-#include "mining/checkpoint.h"
+#include "mining/mining_run.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace pincer {
 
@@ -32,93 +26,38 @@ std::vector<FrequentItemset> FrequentSetResult::MaximalItemsets() const {
 
 namespace {
 
-// Snapshot handed to the checkpoint sink after each completed pass: the
-// frequent set so far plus L_k, everything the next pass depends on.
-Checkpoint MakeCheckpoint(const TransactionDatabase& db,
-                          const MiningOptions& options,
-                          const FrequentSetResult& result,
-                          const std::vector<Itemset>& lk, size_t next_pass,
-                          double elapsed_ms) {
-  Checkpoint checkpoint;
-  checkpoint.algorithm = "apriori";
-  checkpoint.next_pass = next_pass;
-  checkpoint.options_fingerprint = OptionsFingerprint(options, "apriori");
-  checkpoint.database.rows = db.size();
-  checkpoint.database.items = db.num_items();
-  checkpoint.stats = result.stats;
-  checkpoint.stats.elapsed_millis = elapsed_ms;
-  checkpoint.frequent = result.frequent;
-  checkpoint.live_candidates = lk;
-  return checkpoint;
-}
-
-// The shared driver. `resume` null mines from scratch; otherwise state is
-// restored from the (already validated) checkpoint and mining starts at its
-// next_pass. Pass bookkeeping (stats.passes, tallies, the per-pass record)
-// happens only after a pass's counting scan completes, so a scan aborted by
+// The shared driver. `resume` null mines from scratch; otherwise the run
+// resumes from the checkpoint (rejected if stale) at its next_pass. A pass
+// is booked only after its counting scan completes, so a scan aborted by
 // the time budget leaves no trace of the in-flight pass.
-FrequentSetResult AprioriRun(const TransactionDatabase& db,
-                             const MiningOptions& options,
-                             const Checkpoint* resume) {
-  Timer timer;
+StatusOr<FrequentSetResult> AprioriRun(const TransactionDatabase& db,
+                                       const MiningOptions& options,
+                                       const Checkpoint* resume) {
+  MiningRun run(db, options, "apriori");
   FrequentSetResult result;
-  MiningStats& stats = result.stats;
   const uint64_t min_count = db.MinSupportCount(options.min_support);
-  // One pool per run, shared by the backend and the array fast paths — or,
-  // in resident mode, the caller's shared pool and pre-built counter.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.shared_pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = owned_pool.get();
-  }
-  std::unique_ptr<SupportCounter> owned_counter;
-  SupportCounter* counter = options.resident_counter;
-  if (counter == nullptr) {
-    owned_counter = CreateCounter(options.backend, db, pool);
-    counter = owned_counter.get();
-  }
-  // Unconditional: a resident counter may carry a previous run's sink.
-  counter->set_metrics(options.collect_counter_metrics ? &stats.counting
-                                                       : nullptr);
-  std::optional<ScanBudget> budget;
-  if (options.time_budget_ms > 0) budget.emplace(options.time_budget_ms);
-  ScanBudget* scan_budget = budget.has_value() ? &*budget : nullptr;
-  counter->set_scan_budget(scan_budget);
-
   // `lk` is the current level: frequent 1-itemsets after pass 1, then L_k.
   std::vector<Itemset> lk;
   size_t k = 1;
-  double elapsed_base = 0;
-  bool sink_error_logged = false;
   if (resume != nullptr) {
-    stats = resume->stats;
+    PINCER_RETURN_IF_ERROR(run.Resume(*resume));
     result.frequent = resume->frequent;
     lk = resume->live_candidates;
     k = static_cast<size_t>(resume->next_pass);
-    // Checkpointed wall-clock covers completed work; this run adds its own.
-    elapsed_base = stats.elapsed_millis;
   }
-  stats.num_threads = pool->num_threads();
 
+  // The snapshot after each completed pass: the frequent set so far plus
+  // L_k, everything the next pass depends on.
   const auto emit_checkpoint = [&](size_t next_pass) {
-    if (!options.checkpoint_sink) return;
-    DeliverCheckpoint(options,
-                      MakeCheckpoint(db, options, result, lk, next_pass,
-                                     elapsed_base + timer.ElapsedMillis()),
-                      sink_error_logged);
+    run.EmitCheckpoint(next_pass, [&](Checkpoint& checkpoint) {
+      checkpoint.frequent = result.frequent;
+      checkpoint.live_candidates = lk;
+    });
   };
   const auto finish = [&]() {
     std::sort(result.frequent.begin(), result.frequent.end());
-    stats.elapsed_millis = elapsed_base + timer.ElapsedMillis();
-    // Every abort path latches the ScanBudget, so the latch is the single
-    // source of truth for "the time budget caused this".
-    stats.budget_exceeded = budget.has_value() && budget->exceeded();
-    // A resident counter outlives this run: detach the per-run sinks.
-    if (options.resident_counter != nullptr) {
-      counter->set_metrics(nullptr);
-      counter->set_scan_budget(nullptr);
-    }
+    result.stats = run.Finish();
+    return std::move(result);
   };
 
   // ---- Pass 1: 1-itemsets.
@@ -126,37 +65,17 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
     PassStats pass;
     pass.pass = 1;
     pass.num_candidates = db.num_items();
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      if (options.use_array_fast_path) {
-        counts = CountSingletons(db, pool, scan_budget);
-      } else {
-        std::vector<Itemset> singles;
-        singles.reserve(db.num_items());
-        for (ItemId item = 0; item < db.num_items(); ++item) {
-          singles.push_back(Itemset{item});
-        }
-        counts = counter->CountSupports(singles);
-        pass.backend_used =
-            std::string(CounterBackendName(counter->backend_used()));
-      }
-    }
-    if (scan_budget != nullptr && scan_budget->exceeded()) {
-      stats.aborted = true;
-      finish();
-      return result;
-    }
-    ++stats.passes;
+    const std::optional<std::vector<uint64_t>> counts =
+        run.CountItems(pass, options.use_array_fast_path);
+    if (!counts.has_value()) return finish();
     for (ItemId item = 0; item < db.num_items(); ++item) {
-      if (counts[item] >= min_count) {
+      if ((*counts)[item] >= min_count) {
         lk.push_back(Itemset{item});
-        result.frequent.push_back({lk.back(), counts[item]});
+        result.frequent.push_back({lk.back(), (*counts)[item]});
       }
     }
     pass.num_frequent = lk.size();
-    stats.total_candidates += pass.num_candidates;
-    stats.per_pass.push_back(pass);
+    run.RecordPass(pass);
     if (options.verbose) {
       PINCER_LOG(kInfo) << "apriori pass 1: " << lk.size() << "/"
                         << db.num_items() << " items frequent";
@@ -165,18 +84,10 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
     emit_checkpoint(2);
   }
 
-  // ---- Pass cap (options.max_passes): running pass k would exceed the cap
-  // while frequent work remains, so the run is truncated — which the
-  // options.h contract reports as aborted, matching pincer_search.cc.
-  if (options.max_passes > 0 && k > options.max_passes && lk.size() >= 2) {
-    stats.aborted = true;
-    finish();
-    return result;
-  }
-
   // ---- Pass 2: 2-itemsets via the triangular array (no generation step).
   if (k == 2) {
     if (lk.size() >= 2) {
+      if (run.PassCapReached()) return finish();
       PassStats pass;
       pass.pass = 2;
       std::vector<ItemId> frequent_items;
@@ -187,15 +98,7 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
       std::vector<Itemset> l2;
       if (options.use_array_fast_path) {
         PairCountMatrix matrix(frequent_items);
-        {
-          ScopedMsTimer count_timer(pass.counting_ms);
-          matrix.CountDatabase(db, pool, scan_budget);
-        }
-        if (scan_budget != nullptr && scan_budget->exceeded()) {
-          stats.aborted = true;
-          finish();
-          return result;
-        }
+        if (!run.CountPairs(matrix, pass)) return finish();
         for (size_t i = 0; i < frequent_items.size(); ++i) {
           for (size_t j = i + 1; j < frequent_items.size(); ++j) {
             const uint64_t count =
@@ -214,29 +117,18 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
             pairs.push_back(Itemset{frequent_items[i], frequent_items[j]});
           }
         }
-        std::vector<uint64_t> counts;
-        {
-          ScopedMsTimer count_timer(pass.counting_ms);
-          counts = counter->CountSupports(pairs);
-        }
-        pass.backend_used =
-            std::string(CounterBackendName(counter->backend_used()));
-        if (scan_budget != nullptr && scan_budget->exceeded()) {
-          stats.aborted = true;
-          finish();
-          return result;
-        }
+        const std::optional<std::vector<uint64_t>> counts =
+            run.Count(pairs, pass);
+        if (!counts.has_value()) return finish();
         for (size_t i = 0; i < pairs.size(); ++i) {
-          if (counts[i] >= min_count) {
+          if ((*counts)[i] >= min_count) {
             l2.push_back(pairs[i]);
-            result.frequent.push_back({pairs[i], counts[i]});
+            result.frequent.push_back({pairs[i], (*counts)[i]});
           }
         }
       }
-      ++stats.passes;
       pass.num_frequent = l2.size();
-      stats.total_candidates += pass.num_candidates;
-      stats.per_pass.push_back(pass);
+      run.RecordPass(pass);
       if (options.verbose) {
         PINCER_LOG(kInfo) << "apriori pass 2: " << l2.size() << "/"
                           << pass.num_candidates << " pairs frequent";
@@ -256,51 +148,27 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
       candidates = AprioriGen(lk);
     }
     if (candidates.empty()) break;
-    // Pass cap, ordered after the termination test for the same reason as
-    // the budget check below: a complete run is never reported truncated.
-    if (options.max_passes > 0 && k > options.max_passes) {
-      stats.aborted = true;
-      break;
-    }
-    // Budget check ordered after the termination test so a run that is
-    // already complete is never misreported as aborted; checked after
-    // generation because with millions of candidates the generation step
-    // alone can overshoot the budget. Check() latches the same ScanBudget
-    // the counting scans poll, keeping stats.budget_exceeded in agreement
-    // with `aborted` for between-pass aborts.
-    if (scan_budget != nullptr && scan_budget->Check()) {
-      stats.aborted = true;
-      break;
-    }
+    // Ordered after the termination test so a complete run is never
+    // reported aborted, and after generation, which with millions of
+    // candidates can overshoot the budget on its own.
+    if (run.StopBeforePass()) break;
 
     PassStats pass;
     pass.pass = k;
     pass.num_candidates = candidates.size();
     pass.candidate_gen_ms = gen_ms;
-
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      counts = counter->CountSupports(candidates);
-    }
-    pass.backend_used =
-        std::string(CounterBackendName(counter->backend_used()));
-    if (scan_budget != nullptr && scan_budget->exceeded()) {
-      stats.aborted = true;
-      break;
-    }
-    ++stats.passes;
-    stats.total_candidates += candidates.size();
-    stats.reported_candidates += candidates.size();
+    const std::optional<std::vector<uint64_t>> counts =
+        run.Count(candidates, pass);
+    if (!counts.has_value()) break;
     std::vector<Itemset> next;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (counts[i] >= min_count) {
+      if ((*counts)[i] >= min_count) {
         next.push_back(candidates[i]);
-        result.frequent.push_back({candidates[i], counts[i]});
+        result.frequent.push_back({candidates[i], (*counts)[i]});
       }
     }
     pass.num_frequent = next.size();
-    stats.per_pass.push_back(pass);
+    run.RecordPass(pass);
     if (options.verbose) {
       PINCER_LOG(kInfo) << "apriori pass " << k << ": " << next.size() << "/"
                         << candidates.size() << " candidates frequent";
@@ -310,22 +178,20 @@ FrequentSetResult AprioriRun(const TransactionDatabase& db,
     emit_checkpoint(k);
   }
 
-  finish();
-  return result;
+  return finish();
 }
 
 }  // namespace
 
 FrequentSetResult AprioriMine(const TransactionDatabase& db,
                               const MiningOptions& options) {
-  return AprioriRun(db, options, /*resume=*/nullptr);
+  // Without a checkpoint there is nothing to reject.
+  return AprioriRun(db, options, /*resume=*/nullptr).value();
 }
 
 StatusOr<FrequentSetResult> AprioriResume(const TransactionDatabase& db,
                                           const MiningOptions& options,
                                           const Checkpoint& checkpoint) {
-  PINCER_RETURN_IF_ERROR(ValidateCheckpointForResume(
-      checkpoint, "apriori", OptionsFingerprint(options, "apriori"), db));
   return AprioriRun(db, options, &checkpoint);
 }
 

@@ -1,90 +1,32 @@
 #include "apriori/apriori_combined.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 
 #include "apriori/apriori_gen.h"
-#include "counting/array_counters.h"
-#include "counting/counter_factory.h"
-#include "counting/scan_budget.h"
-#include "mining/checkpoint.h"
+#include "mining/mining_run.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace pincer {
 
 namespace {
 
-// Snapshot handed to the checkpoint sink after each completed level. The
-// optimistic next-level counts ride along so a resumed run can consume them
-// without re-reading the database, exactly like the uninterrupted run.
-Checkpoint MakeCheckpoint(
+// The shared driver; `resume` null mines from scratch, otherwise the run
+// resumes from the checkpoint (rejected if stale). A level is booked only
+// after its counting scan completes, so a scan aborted by the time budget
+// leaves no trace of the in-flight level.
+StatusOr<FrequentSetResult> AprioriCombinedRun(
     const TransactionDatabase& db, const MiningOptions& options,
-    const CombinedPassOptions& combined, const FrequentSetResult& result,
-    const std::vector<Itemset>& lk,
-    const std::vector<std::pair<Itemset, uint64_t>>& precounted,
-    size_t next_level, double elapsed_ms) {
-  Checkpoint checkpoint;
-  checkpoint.algorithm = "apriori-combined";
-  checkpoint.next_pass = next_level;
-  checkpoint.options_fingerprint = OptionsFingerprint(
-      options, "apriori-combined", combined.combine_threshold);
-  checkpoint.database.rows = db.size();
-  checkpoint.database.items = db.num_items();
-  checkpoint.stats = result.stats;
-  checkpoint.stats.elapsed_millis = elapsed_ms;
-  checkpoint.frequent = result.frequent;
-  checkpoint.live_candidates = lk;
-  checkpoint.precounted.reserve(precounted.size());
-  for (const auto& [itemset, count] : precounted) {
-    checkpoint.precounted.push_back({itemset, count});
-  }
-  return checkpoint;
-}
-
-// The shared driver; `resume` null mines from scratch. Level bookkeeping
-// happens only after a level's counting scan completes, so a scan aborted by
-// the time budget leaves no trace of the in-flight level.
-FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
-                                     const MiningOptions& options,
-                                     const CombinedPassOptions& combined,
-                                     const Checkpoint* resume) {
-  Timer timer;
+    const CombinedPassOptions& combined, const Checkpoint* resume) {
+  MiningRun run(db, options, "apriori-combined", combined.combine_threshold);
   FrequentSetResult result;
-  MiningStats& stats = result.stats;
   const uint64_t min_count = db.MinSupportCount(options.min_support);
-  // One pool per run, shared by the backend and the array fast paths — or,
-  // in resident mode, the caller's shared pool and pre-built counter.
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.shared_pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = owned_pool.get();
-  }
-  std::unique_ptr<SupportCounter> owned_counter;
-  SupportCounter* counter = options.resident_counter;
-  if (counter == nullptr) {
-    owned_counter = CreateCounter(options.backend, db, pool);
-    counter = owned_counter.get();
-  }
-  // Unconditional: a resident counter may carry a previous run's sink.
-  counter->set_metrics(options.collect_counter_metrics ? &stats.counting
-                                                       : nullptr);
-  std::optional<ScanBudget> budget;
-  if (options.time_budget_ms > 0) budget.emplace(options.time_budget_ms);
-  ScanBudget* scan_budget = budget.has_value() ? &*budget : nullptr;
-  counter->set_scan_budget(scan_budget);
-
   std::vector<Itemset> lk;
   std::vector<std::pair<Itemset, uint64_t>> precounted;  // sorted by itemset
   size_t k = 1;
-  double elapsed_base = 0;
-  bool sink_error_logged = false;
   if (resume != nullptr) {
-    stats = resume->stats;
+    PINCER_RETURN_IF_ERROR(run.Resume(*resume));
     result.frequent = resume->frequent;
     lk = resume->live_candidates;
     precounted.reserve(resume->precounted.size());
@@ -92,29 +34,25 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
       precounted.emplace_back(fi.itemset, fi.support);
     }
     k = static_cast<size_t>(resume->next_pass);
-    elapsed_base = stats.elapsed_millis;
   }
-  stats.num_threads = pool->num_threads();
 
+  // The snapshot after each completed level. The optimistic next-level
+  // counts ride along so a resumed run can consume them without re-reading
+  // the database, exactly like the uninterrupted run.
   const auto emit_checkpoint = [&](size_t next_level) {
-    if (!options.checkpoint_sink) return;
-    DeliverCheckpoint(
-        options,
-        MakeCheckpoint(db, options, combined, result, lk, precounted,
-                       next_level, elapsed_base + timer.ElapsedMillis()),
-        sink_error_logged);
+    run.EmitCheckpoint(next_level, [&](Checkpoint& checkpoint) {
+      checkpoint.frequent = result.frequent;
+      checkpoint.live_candidates = lk;
+      checkpoint.precounted.reserve(precounted.size());
+      for (const auto& [itemset, count] : precounted) {
+        checkpoint.precounted.push_back({itemset, count});
+      }
+    });
   };
   const auto finish = [&]() {
     std::sort(result.frequent.begin(), result.frequent.end());
-    stats.elapsed_millis = elapsed_base + timer.ElapsedMillis();
-    // Every abort path latches the ScanBudget, so the latch is the single
-    // source of truth for "the time budget caused this".
-    stats.budget_exceeded = budget.has_value() && budget->exceeded();
-    // A resident counter outlives this run: detach the per-run sinks.
-    if (options.resident_counter != nullptr) {
-      counter->set_metrics(nullptr);
-      counter->set_scan_budget(nullptr);
-    }
+    result.stats = run.Finish();
+    return std::move(result);
   };
 
   // Passes 1 and 2 are identical to plain Apriori (array fast paths).
@@ -122,45 +60,24 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
     PassStats pass;
     pass.pass = 1;
     pass.num_candidates = db.num_items();
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      counts = CountSingletons(db, pool, scan_budget);
-    }
-    if (scan_budget != nullptr && scan_budget->exceeded()) {
-      stats.aborted = true;
-      finish();
-      return result;
-    }
-    ++stats.passes;
+    const std::optional<std::vector<uint64_t>> counts =
+        run.CountItems(pass, /*array_fast_path=*/true);
+    if (!counts.has_value()) return finish();
     for (ItemId item = 0; item < db.num_items(); ++item) {
-      if (counts[item] >= min_count) {
+      if ((*counts)[item] >= min_count) {
         lk.push_back(Itemset{item});
-        result.frequent.push_back({lk.back(), counts[item]});
+        result.frequent.push_back({lk.back(), (*counts)[item]});
       }
     }
     pass.num_frequent = lk.size();
-    stats.total_candidates += pass.num_candidates;
-    stats.per_pass.push_back(pass);
+    run.RecordPass(pass);
     k = 2;
     emit_checkpoint(2);
   }
 
-  // Pass cap (options.max_passes): for the combined driver the cap bounds
-  // actual database passes (stats.passes), not levels — a level consumed
-  // from the optimistic precounts is free. Truncation by the cap is
-  // reported as aborted, the options.h contract.
-  const auto pass_cap_spent = [&] {
-    return options.max_passes > 0 && stats.passes >= options.max_passes;
-  };
-
   if (k == 2) {
-    if (lk.size() >= 2 && pass_cap_spent()) {
-      stats.aborted = true;
-      finish();
-      return result;
-    }
     if (lk.size() >= 2) {
+      if (run.PassCapReached()) return finish();
       PassStats pass;
       pass.pass = 2;
       std::vector<ItemId> frequent_items;
@@ -168,16 +85,7 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
       for (const Itemset& single : lk) frequent_items.push_back(single[0]);
       pass.num_candidates = lk.size() * (lk.size() - 1) / 2;
       PairCountMatrix matrix(frequent_items);
-      {
-        ScopedMsTimer count_timer(pass.counting_ms);
-        matrix.CountDatabase(db, pool, scan_budget);
-      }
-      if (scan_budget != nullptr && scan_budget->exceeded()) {
-        stats.aborted = true;
-        finish();
-        return result;
-      }
-      ++stats.passes;
+      if (!run.CountPairs(matrix, pass)) return finish();
       std::vector<Itemset> l2;
       for (size_t i = 0; i < frequent_items.size(); ++i) {
         for (size_t j = i + 1; j < frequent_items.size(); ++j) {
@@ -190,8 +98,7 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
         }
       }
       pass.num_frequent = l2.size();
-      stats.total_candidates += pass.num_candidates;
-      stats.per_pass.push_back(pass);
+      run.RecordPass(pass);
       lk = std::move(l2);
       emit_checkpoint(3);
     }
@@ -202,14 +109,6 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
   // previous pass already counted this level optimistically, the counts are
   // consumed without a new database read.
   while (lk.size() >= 2) {
-    // Check() latches the same ScanBudget the counting scans poll, keeping
-    // stats.budget_exceeded in agreement with `aborted` for between-level
-    // aborts.
-    if (scan_budget != nullptr && scan_budget->Check()) {
-      stats.aborted = true;
-      break;
-    }
-
     double gen_ms = 0;
     std::vector<Itemset> candidates;
     {
@@ -242,14 +141,10 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
                     [](bool have) { return have; });
 
     if (!all_precounted) {
-      // This level needs a real database pass; truncate if the cap is
-      // spent (precounted levels above consumed no pass and ran free).
-      if (pass_cap_spent()) {
-        stats.aborted = true;
-        break;
-      }
-      // A real pass is needed. Decide whether to piggyback the optimistic
-      // next level onto it.
+      // This level needs a real database pass. The cap bounds database
+      // reads, not levels: a precounted level above consumed none.
+      if (run.StopBeforePass()) break;
+      // Decide whether to piggyback the optimistic next level onto it.
       std::vector<Itemset> batch = candidates;
       size_t optimistic_start = batch.size();
       if (candidates.size() <= combined.combine_threshold) {
@@ -264,42 +159,23 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
                      std::make_move_iterator(optimistic.end()));
       }
 
-      std::vector<uint64_t> batch_counts;
-      double counting_ms = 0;
-      {
-        ScopedMsTimer count_timer(counting_ms);
-        batch_counts = counter->CountSupports(batch);
-      }
-      if (scan_budget != nullptr && scan_budget->exceeded()) {
-        stats.aborted = true;
-        break;
-      }
-
-      ++stats.passes;
       PassStats pass;
       pass.pass = k;
       pass.num_candidates = batch.size();
       pass.candidate_gen_ms = gen_ms;
-      pass.counting_ms = counting_ms;
-      pass.backend_used =
-          std::string(CounterBackendName(counter->backend_used()));
-      stats.total_candidates += batch.size();
-      stats.reported_candidates += batch.size();
+      const std::optional<std::vector<uint64_t>> batch_counts =
+          run.Count(batch, pass);
+      if (!batch_counts.has_value()) break;
 
       for (size_t i = 0; i < candidates.size(); ++i) {
-        counts[i] = batch_counts[i];
+        counts[i] = (*batch_counts)[i];
+        if (counts[i] >= min_count) ++pass.num_frequent;
       }
       for (size_t i = optimistic_start; i < batch.size(); ++i) {
-        precounted.emplace_back(std::move(batch[i]), batch_counts[i]);
+        precounted.emplace_back(std::move(batch[i]), (*batch_counts)[i]);
       }
       // AprioriGen output is sorted, so precounted is sorted by itemset.
-
-      size_t num_frequent = 0;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (counts[i] >= min_count) ++num_frequent;
-      }
-      pass.num_frequent = num_frequent;
-      stats.per_pass.push_back(pass);
+      run.RecordPass(pass);
     }
 
     std::vector<Itemset> next;
@@ -317,11 +193,9 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
     lk = std::move(next);
     ++k;
     emit_checkpoint(k);
-    if (lk.size() < 2) break;
   }
 
-  finish();
-  return result;
+  return finish();
 }
 
 }  // namespace
@@ -329,17 +203,13 @@ FrequentSetResult AprioriCombinedRun(const TransactionDatabase& db,
 FrequentSetResult AprioriCombinedMine(const TransactionDatabase& db,
                                       const MiningOptions& options,
                                       const CombinedPassOptions& combined) {
-  return AprioriCombinedRun(db, options, combined, /*resume=*/nullptr);
+  // Without a checkpoint there is nothing to reject.
+  return AprioriCombinedRun(db, options, combined, /*resume=*/nullptr).value();
 }
 
 StatusOr<FrequentSetResult> AprioriCombinedResume(
     const TransactionDatabase& db, const MiningOptions& options,
     const Checkpoint& checkpoint, const CombinedPassOptions& combined) {
-  PINCER_RETURN_IF_ERROR(ValidateCheckpointForResume(
-      checkpoint, "apriori-combined",
-      OptionsFingerprint(options, "apriori-combined",
-                         combined.combine_threshold),
-      db));
   return AprioriCombinedRun(db, options, combined, &checkpoint);
 }
 

@@ -3,7 +3,6 @@
 #include "counting/adaptive_counter.h"
 #include "counting/hash_tree.h"
 #include "counting/linear_counter.h"
-#include "counting/parallel_counter.h"
 #include "counting/trie_counter.h"
 #include "counting/vertical_counter.h"
 
@@ -19,17 +18,10 @@ std::string_view CounterBackendName(CounterBackend backend) {
       return "trie";
     case CounterBackend::kVertical:
       return "vertical";
-    case CounterBackend::kParallel:
-      return "parallel";
     case CounterBackend::kAuto:
       return "auto";
   }
   return "unknown";
-}
-
-std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
-                                              const TransactionDatabase& db) {
-  return CreateCounter(backend, db, /*pool=*/nullptr);
 }
 
 std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
@@ -49,9 +41,6 @@ std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
     case CounterBackend::kVertical:
       counter = std::make_unique<VerticalCounter>(db);
       break;
-    case CounterBackend::kParallel:
-      counter = std::make_unique<ParallelCounter>(db);
-      break;
     case CounterBackend::kAuto:
       counter = std::make_unique<AdaptiveCounter>(db);
       break;
@@ -61,9 +50,9 @@ std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
 }
 
 std::vector<CounterBackend> AllCounterBackends() {
-  return {CounterBackend::kLinear,   CounterBackend::kHashTree,
-          CounterBackend::kTrie,     CounterBackend::kVertical,
-          CounterBackend::kParallel, CounterBackend::kAuto};
+  return {CounterBackend::kLinear, CounterBackend::kHashTree,
+          CounterBackend::kTrie, CounterBackend::kVertical,
+          CounterBackend::kAuto};
 }
 
 }  // namespace pincer

@@ -11,21 +11,16 @@
 
 namespace pincer {
 
-/// Creates a counter of the requested backend bound to `db`. The database
-/// must outlive the returned counter. Without a pool, the scanning backends
-/// run serially — except kParallel, which keeps its historical default of a
-/// private hardware-concurrency pool.
-std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
-                                              const TransactionDatabase& db);
-
-/// As above, but attaches `pool` (may be null; must outlive the counter) so
-/// every transaction-scanning backend — including kParallel — splits its
-/// scans across the pool's workers. This is how MiningOptions::num_threads
-/// reaches the backends: the mining drivers own one pool per run and hand
-/// it to the counter they create.
+/// Creates a counter of the requested backend bound to `db`, which must
+/// outlive it. With a `pool` (which must outlive the counter too), every
+/// transaction-scanning backend splits its scans across the pool's
+/// workers; without one they run serially. This is how
+/// MiningOptions::num_threads reaches the backends: the run context
+/// (mining/mining_run.h) owns one pool per run and hands it to the counter
+/// it creates.
 std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
                                               const TransactionDatabase& db,
-                                              ThreadPool* pool);
+                                              ThreadPool* pool = nullptr);
 
 /// All available backends, for parameterized tests.
 std::vector<CounterBackend> AllCounterBackends();

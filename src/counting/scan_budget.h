@@ -15,6 +15,7 @@
 #ifndef PINCER_COUNTING_SCAN_BUDGET_H_
 #define PINCER_COUNTING_SCAN_BUDGET_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -62,6 +63,17 @@ class ScanBudget {
   /// clock — a scan that never polled mid-scan reports false even when the
   /// deadline has passed since.
   bool exceeded() const { return exceeded_.load(std::memory_order_relaxed); }
+
+  /// Milliseconds left before the deadline; 0 once it has passed.
+  double RemainingMillis() const {
+    const auto left = deadline_ - std::chrono::steady_clock::now();
+    return std::max(
+        0.0, std::chrono::duration<double, std::milli>(left).count());
+  }
+
+  /// Latches the budget as spent without reading the clock, for a caller
+  /// that saw it expire elsewhere (a nested run given what remained of it).
+  void Expire() { exceeded_.store(true, std::memory_order_relaxed); }
 
  private:
   std::chrono::steady_clock::time_point deadline_;

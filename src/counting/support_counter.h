@@ -21,20 +21,20 @@ namespace pincer {
 /// differ only in data structure (and therefore speed). kLinear mirrors the
 /// paper's own link-list implementation (§4.1.1); kHashTree is the classic
 /// Apriori structure; kTrie is a prefix-tree variant; kVertical intersects
-/// per-item transaction bitmaps.
-/// kParallel is the trie walk distributed over worker threads (§5's
-/// parallel-mining direction).
+/// per-item transaction bitmaps. Every backend scans on the worker pool
+/// attached with set_thread_pool (§5's parallel-mining direction).
 /// kAuto picks between the horizontal trie and the vertical bitmaps per
 /// CountSupports call from a deterministic cost model over the database
 /// density and the candidate batch shape (see counting/adaptive_counter.h);
 /// the pick is recorded per pass as PassStats::backend_used.
+/// Enumerator values are stable: a retired backend's value is not reused
+/// (4 was the trie-plus-pool "parallel" backend).
 enum class CounterBackend {
-  kLinear,
-  kHashTree,
-  kTrie,
-  kVertical,
-  kParallel,
-  kAuto,
+  kLinear = 0,
+  kHashTree = 1,
+  kTrie = 2,
+  kVertical = 3,
+  kAuto = 5,
 };
 
 std::string_view CounterBackendName(CounterBackend backend);

@@ -32,13 +32,14 @@ struct PartitionOptions {
 /// plus the validation pass; reported_candidates is the size of the global
 /// candidate union (0 when the run aborted before validating it).
 ///
-/// options.num_threads reaches every counting scan: the phase-2 validation
-/// pass runs on a per-run ThreadPool and each partition's local Apriori run
-/// resolves the same knob; stats.num_threads echoes the resolved count.
-/// options.time_budget_ms is checked between partitions and again before
-/// phase 2 — a run that exhausts the budget in phase 1 reports
-/// stats.aborted and returns without the full validation scan (its
-/// candidate union is unvalidated, so result.frequent is empty).
+/// Runs on a MiningRun (mining/mining_run.h): the phase-2 validation pass
+/// and every partition's local Apriori run share its pool, sized by
+/// options.num_threads (stats.num_threads echoes the resolved count). The
+/// local runs get only what remains of options.time_budget_ms, which is
+/// also checked between partitions and before phase 2 and polled by the
+/// validation scan. A run that exhausts the budget reports stats.aborted
+/// and stats.budget_exceeded and returns without a validated result
+/// (result.frequent is empty, reported_candidates 0).
 FrequentSetResult PartitionMine(const TransactionDatabase& db,
                                 const MiningOptions& options,
                                 const PartitionOptions& partition =

@@ -1,16 +1,14 @@
 #include "extensions/sampling.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "apriori/apriori_gen.h"
-#include "counting/counter_factory.h"
 #include "itemset/itemset_ops.h"
 #include "itemset/itemset_set.h"
-#include "util/metrics.h"
+#include "mining/mining_run.h"
 #include "util/prng.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace pincer {
 
@@ -60,14 +58,14 @@ std::vector<Itemset> NegativeBorder(const std::vector<Itemset>& family,
 FrequentSetResult SamplingMine(const TransactionDatabase& db,
                                const MiningOptions& options,
                                const SamplingOptions& sampling) {
-  Timer timer;
+  MiningRun run(db, options);
+  MiningStats& stats = run.stats();
   FrequentSetResult result;
   const uint64_t min_count = db.MinSupportCount(options.min_support);
-  // One pool per run for the full-database verification passes; the sample
-  // mining and the exact fallback resolve the same options.num_threads
-  // through their own per-run pools.
-  ThreadPool pool(options.num_threads);
-  result.stats.num_threads = pool.num_threads();
+  const auto finish = [&]() {
+    result.stats = run.Finish();
+    return std::move(result);
+  };
 
   // Draw the sample.
   Prng prng(sampling.seed);
@@ -81,55 +79,51 @@ FrequentSetResult SamplingMine(const TransactionDatabase& db,
     sample.AddTransaction(db.transaction(0));
   }
 
-  // Mine the sample in memory at the lowered threshold.
-  MiningOptions sample_options = options;
+  // Mine the sample in memory at the lowered threshold, on this run's pool
+  // and what is left of its budget.
+  MiningOptions sample_options = run.NestedOptions();
   sample_options.min_support = options.min_support * sampling.lowered_factor;
   const FrequentSetResult sample_result = AprioriMine(sample, sample_options);
-  if (sample_result.stats.aborted) result.stats.aborted = true;
+  run.Absorb(sample_result.stats);
 
   // Candidate family S (downward closed by construction).
   std::vector<Itemset> family = ItemsetsOf(sample_result.frequent);
   SortLexicographically(family);
 
-  auto counter = CreateCounter(options.backend, db, &pool);
   std::unordered_map<Itemset, uint64_t, ItemsetHash> supports;
 
+  // One full-database pass over the batch's not yet counted itemsets; false
+  // when the budget stopped it.
   auto count_batch = [&](const std::vector<Itemset>& batch) {
     std::vector<Itemset> uncounted;
     for (const Itemset& itemset : batch) {
       if (!supports.contains(itemset)) uncounted.push_back(itemset);
     }
-    if (uncounted.empty()) return;
-    ++result.stats.passes;
+    if (uncounted.empty()) return true;
     PassStats pass;
-    pass.pass = result.stats.passes;
+    pass.pass = stats.passes + 1;
     pass.num_candidates = uncounted.size();
-    result.stats.reported_candidates += uncounted.size();
-    result.stats.total_candidates += uncounted.size();
-    std::vector<uint64_t> counts;
-    {
-      ScopedMsTimer count_timer(pass.counting_ms);
-      counts = counter->CountSupports(uncounted);
-    }
+    const std::optional<std::vector<uint64_t>> counts =
+        run.Count(uncounted, pass);
+    if (!counts.has_value()) return false;
+    ++stats.passes;
+    stats.reported_candidates += uncounted.size();
+    stats.total_candidates += uncounted.size();
     for (size_t i = 0; i < uncounted.size(); ++i) {
-      if (counts[i] >= min_count) ++pass.num_frequent;
-      supports.emplace(std::move(uncounted[i]), counts[i]);
+      if ((*counts)[i] >= min_count) ++pass.num_frequent;
+      supports.emplace(std::move(uncounted[i]), (*counts)[i]);
     }
-    result.stats.per_pass.push_back(pass);
+    stats.per_pass.push_back(pass);
+    return true;
   };
 
   // Verify S plus its negative border; extend on misses.
   for (size_t round = 0; round < sampling.max_correction_rounds; ++round) {
-    if (options.time_budget_ms > 0 &&
-        timer.ElapsedMillis() > options.time_budget_ms) {
-      result.stats.aborted = true;
-      result.stats.elapsed_millis = timer.ElapsedMillis();
-      return result;
-    }
+    if (run.BudgetExpired()) return finish();
     std::vector<Itemset> border = NegativeBorder(family, db.num_items());
     std::vector<Itemset> batch = family;
     batch.insert(batch.end(), border.begin(), border.end());
-    count_batch(batch);
+    if (!count_batch(batch)) return finish();
 
     std::vector<Itemset> misses;
     for (const Itemset& itemset : border) {
@@ -143,8 +137,7 @@ FrequentSetResult SamplingMine(const TransactionDatabase& db,
         if (count >= min_count) result.frequent.push_back({itemset, count});
       }
       std::sort(result.frequent.begin(), result.frequent.end());
-      result.stats.elapsed_millis = timer.ElapsedMillis();
-      return result;
+      return finish();
     }
     // Extend the family (still downward closed: each miss's subsets are in
     // it) and retry.
@@ -153,24 +146,20 @@ FrequentSetResult SamplingMine(const TransactionDatabase& db,
   }
 
   // Safety valve: exact fallback if the correction loop did not converge.
-  // The correction rounds did real full-database work, so their stats are
-  // merged into (not replaced by) the fallback run's: pass records are
-  // concatenated in execution order with the fallback's pass numbers
+  // The correction rounds did real full-database work, so the fallback's
+  // passes are appended to theirs in execution order, pass numbers
   // shifted, and every counter accumulates.
-  FrequentSetResult fallback = AprioriMine(db, options);
-  const size_t correction_passes = result.stats.passes;
+  FrequentSetResult fallback = AprioriMine(db, run.NestedOptions());
+  run.Absorb(fallback.stats);
   for (PassStats& pass : fallback.stats.per_pass) {
-    pass.pass += correction_passes;
+    pass.pass += stats.passes;
+    stats.per_pass.push_back(std::move(pass));
   }
-  fallback.stats.per_pass.insert(fallback.stats.per_pass.begin(),
-                                 result.stats.per_pass.begin(),
-                                 result.stats.per_pass.end());
-  fallback.stats.passes += correction_passes;
-  fallback.stats.reported_candidates += result.stats.reported_candidates;
-  fallback.stats.total_candidates += result.stats.total_candidates;
-  fallback.stats.aborted = fallback.stats.aborted || result.stats.aborted;
-  fallback.stats.elapsed_millis = timer.ElapsedMillis();
-  return fallback;
+  stats.passes += fallback.stats.passes;
+  stats.reported_candidates += fallback.stats.reported_candidates;
+  stats.total_candidates += fallback.stats.total_candidates;
+  result.frequent = std::move(fallback.frequent);
+  return finish();
 }
 
 }  // namespace pincer

@@ -44,13 +44,18 @@ std::vector<Itemset> NegativeBorder(const std::vector<Itemset>& family,
 /// in-memory); reported_candidates counts itemsets counted against the full
 /// database.
 ///
-/// options.num_threads reaches every counting scan: the verification passes
-/// run on a per-run ThreadPool, and the sample mining plus the exact
-/// fallback resolve the same knob; stats.num_threads echoes the resolved
-/// count. If the correction loop does not converge within
-/// max_correction_rounds, the exact fallback's stats are merged with the
-/// correction rounds' (pass records concatenated in execution order,
-/// candidate totals accumulated) — nothing already spent is dropped.
+/// Runs on a MiningRun (mining/mining_run.h): the verification passes, the
+/// sample mining and the exact fallback share its pool, sized by
+/// options.num_threads (stats.num_threads echoes the resolved count). The
+/// nested runs get only what remains of options.time_budget_ms, which is
+/// also checked before every verification round and polled by the
+/// verification scans. A run that exhausts it reports stats.aborted and
+/// stats.budget_exceeded, with no itemsets if it stopped before
+/// convergence and with what the fallback had mined if it stopped there.
+/// If the correction loop does not converge within max_correction_rounds,
+/// the exact fallback's passes are appended to the correction rounds'
+/// (pass records in execution order, candidate totals and counting work
+/// accumulated) — nothing already spent is dropped.
 FrequentSetResult SamplingMine(const TransactionDatabase& db,
                                const MiningOptions& options,
                                const SamplingOptions& sampling =

@@ -10,7 +10,6 @@
 #include "util/failpoint.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
-#include "util/logging.h"
 
 namespace pincer {
 
@@ -480,18 +479,6 @@ Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
         "has " + std::to_string(db.num_items()));
   }
   return Status::OK();
-}
-
-void DeliverCheckpoint(const MiningOptions& options,
-                       const Checkpoint& checkpoint, bool& sink_error_logged) {
-  if (!options.checkpoint_sink) return;
-  const Status status = options.checkpoint_sink(checkpoint);
-  if (!status.ok() && !sink_error_logged) {
-    sink_error_logged = true;
-    PINCER_LOG(kWarning) << "checkpoint sink failed (mining continues, "
-                         << "further sink errors suppressed): "
-                         << status.ToString();
-  }
 }
 
 Status FillFileFingerprint(const std::string& path,

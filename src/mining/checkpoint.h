@@ -134,12 +134,6 @@ Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
                                    std::string_view options_fingerprint,
                                    const TransactionDatabase& db);
 
-/// Invokes options.checkpoint_sink with `checkpoint` if one is set.
-/// Checkpointing is best-effort: a failing sink is logged (once per run,
-/// gated by `sink_error_logged`) and mining continues.
-void DeliverCheckpoint(const MiningOptions& options,
-                       const Checkpoint& checkpoint, bool& sink_error_logged);
-
 }  // namespace pincer
 
 #endif  // PINCER_MINING_CHECKPOINT_H_

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "counting/counter_factory.h"
 #include "itemset/itemset_set.h"
-#include "util/thread_pool.h"
+#include "mining/mining_run.h"
 
 namespace pincer {
 
@@ -146,10 +145,12 @@ std::vector<FrequentItemset> ExpandToFrequentSet(
       }
     }
   }
-  // One batch count over the database.
-  ThreadPool pool(options.num_threads);
-  auto counter = CreateCounter(options.backend, db, &pool);
-  const std::vector<uint64_t> counts = counter->CountSupports(subsets);
+  // One batch count over the database: a single pass with no way to report
+  // an abort, so the time budget does not apply to it.
+  MiningOptions expansion = options;
+  expansion.time_budget_ms = 0;
+  MiningRun run(db, expansion);
+  const std::vector<uint64_t> counts = run.counter().CountSupports(subsets);
 
   std::vector<FrequentItemset> frequent;
   frequent.reserve(subsets.size());

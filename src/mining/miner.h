@@ -98,7 +98,8 @@ FrequentSetResult MineFrequent(const TransactionDatabase& db,
 /// enumerating subsets of the MFS elements and counting their supports in
 /// `db` (one extra conceptual pass, as §2.1 suggests: "one can easily
 /// generate the required subsets and count their supports by reading the
-/// database once"). Sorted lexicographically.
+/// database once"). Sorted lexicographically. That pass has no way to
+/// report an abort, so options.time_budget_ms does not apply to it.
 std::vector<FrequentItemset> ExpandToFrequentSet(
     const TransactionDatabase& db, const MaximalSetResult& maximal,
     const MiningOptions& options);

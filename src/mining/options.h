@@ -7,8 +7,6 @@
 #include <functional>
 
 #include "counting/support_counter.h"
-#include "data/row_policy.h"
-#include "util/retry.h"
 #include "util/status.h"
 
 namespace pincer {
@@ -44,12 +42,13 @@ struct MiningOptions {
   /// The pool is created once per mining run and reused across passes.
   size_t num_threads = 1;
 
-  /// Cap on the number of database passes (0 = automatic: |items| + 2, a
-  /// bound the algorithms cannot exceed on well-formed inputs). A run
-  /// truncated by the cap reports stats.aborted = true (and, unlike a time
-  /// budget, never stats.budget_exceeded). For apriori-combined the cap
-  /// bounds actual database reads (stats.passes): a candidate level served
-  /// entirely from the optimistic precounts consumes no pass.
+  /// Cap on the number of database passes, stats.passes (0 = automatic:
+  /// |items| + 2, a bound the algorithms cannot exceed on well-formed
+  /// inputs). Every paper driver checks it before each database pass that
+  /// has work left, pass 2 included; a run truncated by the cap reports
+  /// stats.aborted = true (and, unlike a time budget, never
+  /// stats.budget_exceeded). An apriori-combined level served entirely from
+  /// the optimistic precounts reads no database and consumes no pass.
   size_t max_passes = 0;
 
   /// Pincer only: adaptive MFCS cap (§3.5). If an MFCS update would grow the
@@ -84,16 +83,6 @@ struct MiningOptions {
   /// harnesses to bound Apriori's exponential blow-ups at the paper's
   /// hardest settings.
   double time_budget_ms = 0;
-
-  /// Retry policy for transient IoErrors on the disk-streaming path
-  /// (StreamingCounter). Defaults to a single attempt — no retries. Ignored
-  /// by the in-memory counting backends, which cannot fail.
-  RetryPolicy retry;
-
-  /// What the streaming path does with rows that fail to parse. Strict (the
-  /// default) fails the pass; kSkipAndCount drops the row and tallies it in
-  /// stats.rows_skipped.
-  MalformedRowPolicy malformed_rows = MalformedRowPolicy::kStrict;
 
   /// Resident mode (the serving daemon): a non-owning, pre-built counter
   /// bound to the same database this run mines. When set, the driver counts

@@ -216,7 +216,7 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
     // its per-pass pick, not itself.
     if (pass.backend_used != "array" && pass.backend_used != "linear" &&
         pass.backend_used != "hash_tree" && pass.backend_used != "trie" &&
-        pass.backend_used != "vertical" && pass.backend_used != "parallel") {
+        pass.backend_used != "vertical") {
       fail("pass " + number(pass.pass) + " has invalid backend_used \"" +
            pass.backend_used + "\"");
     }
@@ -379,8 +379,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
                            config.options.max_passes > 0;
     expect.paper_candidate_convention =
         config.miner != Miner::kPartition && config.miner != Miner::kSampling;
-    expect.abort_implies_budget = expect.paper_candidate_convention &&
-                                  config.options.time_budget_ms > 0 &&
+    expect.abort_implies_budget = config.options.time_budget_ms > 0 &&
                                   config.options.max_passes == 0;
 
     auto check_frequent = [&](const std::vector<FrequentItemset>& got) {

@@ -85,12 +85,11 @@ struct StatsExpectations {
   /// the run had no time budget and no pass cap.
   bool allow_aborted = false;
   /// True asserts the reverse direction of the budget/abort latch contract:
-  /// `aborted` implies `budget_exceeded`. Correct for the paper-convention
-  /// miners (Apriori, combined, Pincer) when the run has a time budget and
-  /// no pass cap — every abort path then latches the same ScanBudget the
-  /// counting scans poll, so the two flags cannot disagree. The forward
-  /// direction (`budget_exceeded` implies `aborted`) is checked
-  /// unconditionally.
+  /// `aborted` implies `budget_exceeded`. Correct for every miner when the
+  /// run has a time budget and no pass cap — every abort path then latches
+  /// the run context's ScanBudget (a nested run's budget stop included), so
+  /// the two flags cannot disagree. The forward direction
+  /// (`budget_exceeded` implies `aborted`) is checked unconditionally.
   bool abort_implies_budget = false;
   /// True: the §4.1.1 accounting applies (reported_candidates equals the
   /// pass >= 3 candidates plus every MFCS element) — Apriori, the combined

@@ -59,6 +59,15 @@ struct CountingMetrics {
   /// hash-tree builds; 0 for the flat linear and vertical backends).
   uint64_t structure_nodes = 0;
 
+  /// Adds another run's counters (a nested run folded into its parent).
+  CountingMetrics& operator+=(const CountingMetrics& other) {
+    count_calls += other.count_calls;
+    candidates_counted += other.candidates_counted;
+    transactions_scanned += other.transactions_scanned;
+    structure_nodes += other.structure_nodes;
+    return *this;
+  }
+
   /// Emits this struct as one JSON object (keys as named above).
   void ToJson(JsonWriter& json) const;
 };

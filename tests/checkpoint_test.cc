@@ -380,6 +380,17 @@ TEST(CheckpointResume, ResumeUnderDifferentBackendAndThreads) {
       db, other, Algorithm::kPincerAdaptive, checkpoints.front());
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->mfs, reference.mfs);
+
+  // A file from a run on the since-removed "parallel" backend still parses
+  // and resumes: per_pass[].backend_used is history, never configuration.
+  Checkpoint legacy = checkpoints.back();
+  for (PassStats& pass : legacy.stats.per_pass) pass.backend_used = "parallel";
+  const StatusOr<Checkpoint> reloaded = ParseCheckpoint(legacy.ToJsonString());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  const StatusOr<MaximalSetResult> from_legacy =
+      ResumeMaximal(db, other, Algorithm::kPincerAdaptive, *reloaded);
+  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status();
+  EXPECT_EQ(from_legacy->mfs, reference.mfs);
 }
 
 TEST(CheckpointResume, RejectsStaleCheckpoints) {

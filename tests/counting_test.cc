@@ -7,8 +7,6 @@
 #include <string>
 
 #include "counting/counter_factory.h"
-#include "counting/parallel_counter.h"
-#include "counting/trie_counter.h"
 #include "testing/db_builder.h"
 #include "util/metrics.h"
 #include "util/prng.h"
@@ -127,14 +125,10 @@ TEST(CounterFactory, BackendNamesAreDistinct) {
   EXPECT_EQ(CounterBackendName(CounterBackend::kHashTree), "hash_tree");
   EXPECT_EQ(CounterBackendName(CounterBackend::kTrie), "trie");
   EXPECT_EQ(CounterBackendName(CounterBackend::kVertical), "vertical");
-  EXPECT_EQ(CounterBackendName(CounterBackend::kParallel), "parallel");
   EXPECT_EQ(CounterBackendName(CounterBackend::kAuto), "auto");
 }
 
-// The 3-argument factory overload attaches the shared pool to every
-// backend — including kParallel, whose worker count previously could not be
-// configured through the factory at all (it silently fell back to hardware
-// concurrency).
+// A factory pool reaches every backend.
 TEST(CounterFactory, AttachesSharedThreadPool) {
   const TransactionDatabase db = MakeDatabase({{0, 1}, {0}, {1}});
   ThreadPool pool(3);
@@ -146,13 +140,6 @@ TEST(CounterFactory, AttachesSharedThreadPool) {
     EXPECT_EQ(counts, (std::vector<uint64_t>{2, 1}))
         << CounterBackendName(backend);
   }
-}
-
-TEST(CounterFactory, ParallelBackendUsesTheAttachedPoolThreadCount) {
-  const TransactionDatabase db = MakeDatabase({{0, 1}});
-  ThreadPool pool(3);
-  auto counter = CreateCounter(CounterBackend::kParallel, db, &pool);
-  EXPECT_EQ(static_cast<ParallelCounter*>(counter.get())->num_threads(), 3u);
 }
 
 TEST(CounterFactory, NullPoolMatchesTwoArgumentOverload) {
@@ -193,30 +180,6 @@ TEST_P(CounterBackendTest, AllEmptyBatchScansNothing) {
   EXPECT_EQ(counts, (std::vector<uint64_t>{2, 2}));
   EXPECT_EQ(metrics.candidates_counted, 0u);
   EXPECT_EQ(metrics.transactions_scanned, 0u);
-}
-
-TEST(ParallelCounter, AgreesWithTrieAcrossThreadCounts) {
-  RandomDbParams params;
-  params.num_items = 10;
-  params.num_transactions = 500;
-  params.seed = 21;
-  const TransactionDatabase db = MakeRandomDatabase(params);
-  const std::vector<Itemset> candidates =
-      RandomCandidates(/*count=*/40, /*num_items=*/10, /*max_len=*/4,
-                       /*seed=*/55);
-  TrieCounter reference(db);
-  const std::vector<uint64_t> expected = reference.CountSupports(candidates);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
-    ParallelCounter counter(db, threads);
-    EXPECT_EQ(counter.CountSupports(candidates), expected)
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelCounter, DefaultsToHardwareConcurrency) {
-  const TransactionDatabase db = MakeDatabase({{0, 1}});
-  ParallelCounter counter(db);
-  EXPECT_GE(counter.num_threads(), 1u);
 }
 
 }  // namespace

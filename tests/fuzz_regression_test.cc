@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,13 @@ struct HarnessCase {
   const char* name;  // corpus/regressions subdirectory
   HarnessFn fn;
 };
+
+// Prints the case by name so the listed test names are the same in every
+// build; the default printer dumps the raw pointer bytes, which move with
+// the binary layout and with address-space randomisation.
+void PrintTo(const HarnessCase& harness, std::ostream* os) {
+  *os << harness.name;
+}
 
 class FuzzReplayTest : public ::testing::TestWithParam<HarnessCase> {};
 

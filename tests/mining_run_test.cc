@@ -1,0 +1,154 @@
+// Tests for the run context the mining drivers share: the pass cap, the
+// budget latch across nested runs, the paper's candidate accounting, and
+// the resident-counter sinks.
+
+#include <gtest/gtest.h>
+
+#include "counting/counter_factory.h"
+#include "mining/mining_run.h"
+#include "testing/db_builder.h"
+
+namespace pincer {
+namespace {
+
+TEST(MiningRun, PassCapCountsDatabasePasses) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}, {1, 2}});
+  MiningOptions options;
+  options.max_passes = 2;
+  MiningRun run(db, options);
+  for (size_t pass = 1; pass <= 2; ++pass) {
+    EXPECT_FALSE(run.PassCapReached()) << "before pass " << pass;
+    PassStats record;
+    record.pass = pass;
+    run.RecordPass(record);
+  }
+  EXPECT_TRUE(run.PassCapReached());
+  EXPECT_TRUE(run.aborted());
+  // The cap is not the budget.
+  EXPECT_FALSE(run.Finish().budget_exceeded);
+}
+
+TEST(MiningRun, AutomaticCapIsItemsPlusTwo) {
+  const TransactionDatabase db = MakeDatabase({{0}}, /*num_items=*/1);
+  const MiningOptions options;
+  MiningRun run(db, options);
+  for (size_t pass = 1; pass <= 3; ++pass) {
+    EXPECT_FALSE(run.PassCapReached());
+    PassStats record;
+    record.pass = pass;
+    run.RecordPass(record);
+  }
+  EXPECT_TRUE(run.PassCapReached());
+}
+
+TEST(MiningRun, RecordPassFollowsThePaperAccounting) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}});
+  const MiningOptions options;
+  MiningRun run(db, options);
+  for (size_t pass = 1; pass <= 3; ++pass) {
+    PassStats record;
+    record.pass = pass;
+    record.num_candidates = 10 * pass;
+    record.num_mfcs_candidates = 1;
+    run.RecordPass(record);
+  }
+  const MiningStats stats = run.Finish();
+  EXPECT_EQ(stats.passes, 3u);
+  EXPECT_EQ(stats.total_candidates, 10u + 20u + 30u + 3u);
+  EXPECT_EQ(stats.mfcs_candidates, 3u);
+  // Passes 1-2 leave the reported figure; MFCS elements never do (§4.1.1).
+  EXPECT_EQ(stats.reported_candidates, 30u + 3u);
+  EXPECT_EQ(stats.per_pass.size(), 3u);
+}
+
+TEST(MiningRun, NestedOptionsShareThePoolAndNothingBoundToThisRun) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}, {1}});
+  std::unique_ptr<SupportCounter> resident =
+      CreateCounter(CounterBackend::kTrie, db);
+  MiningOptions options;
+  options.num_threads = 2;
+  options.time_budget_ms = 60000;
+  options.resident_counter = resident.get();
+  options.checkpoint_sink = [](const Checkpoint&) { return Status::OK(); };
+  MiningRun run(db, options);
+  const MiningOptions nested = run.NestedOptions();
+  EXPECT_EQ(nested.shared_pool, run.pool());
+  EXPECT_EQ(nested.resident_counter, nullptr);
+  EXPECT_FALSE(nested.checkpoint_sink);
+  EXPECT_GT(nested.time_budget_ms, 0);
+  EXPECT_LE(nested.time_budget_ms, 60000);
+}
+
+TEST(MiningRun, SpentBudgetIsNeverPassedOnAsUnlimited) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}});
+  MiningOptions options;
+  options.time_budget_ms = 1e-6;
+  MiningRun run(db, options);
+  while (!run.BudgetExpired()) {
+  }
+  // 0 would mean unlimited.
+  EXPECT_GT(run.NestedOptions().time_budget_ms, 0);
+
+  // Without a budget there is nothing to pass on.
+  const MiningOptions no_budget;
+  MiningRun unlimited(db, no_budget);
+  EXPECT_EQ(unlimited.NestedOptions().time_budget_ms, 0);
+}
+
+TEST(MiningRun, NestedBudgetStopLatchesThisRun) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}});
+  MiningOptions options;
+  options.time_budget_ms = 60000;
+
+  MiningStats budget_stop;
+  budget_stop.aborted = true;
+  budget_stop.budget_exceeded = true;
+  budget_stop.counting.count_calls = 2;
+  MiningRun stopped(db, options);
+  stopped.Absorb(budget_stop);
+  EXPECT_TRUE(stopped.aborted());
+  EXPECT_TRUE(stopped.BudgetExpired());
+  const MiningStats stats = stopped.Finish();
+  EXPECT_TRUE(stats.budget_exceeded);
+  EXPECT_EQ(stats.counting.count_calls, 2u);
+
+  // A nested pass-cap stop aborts this run without blaming the budget.
+  MiningStats cap_stop;
+  cap_stop.aborted = true;
+  MiningRun capped(db, options);
+  capped.Absorb(cap_stop);
+  EXPECT_TRUE(capped.aborted());
+  EXPECT_FALSE(capped.Finish().budget_exceeded);
+}
+
+// Records the sinks a run attaches, so the test can see them detached.
+class SinkRecorder : public SupportCounter {
+ public:
+  std::vector<uint64_t> CountSupports(
+      const std::vector<Itemset>& candidates) override {
+    return std::vector<uint64_t>(candidates.size(), 0);
+  }
+  CounterBackend backend() const override { return CounterBackend::kTrie; }
+  CountingMetrics* metrics() const { return metrics_; }
+  ScanBudget* budget() const { return budget_; }
+};
+
+TEST(MiningRun, ResidentCounterLosesTheRunSinksWhenTheRunEnds) {
+  const TransactionDatabase db = MakeDatabase({{0, 1}});
+  SinkRecorder resident;
+  MiningOptions options;
+  options.resident_counter = &resident;
+  options.collect_counter_metrics = true;
+  options.time_budget_ms = 60000;
+  {
+    MiningRun run(db, options);
+    EXPECT_EQ(&run.counter(), &resident);
+    EXPECT_NE(resident.metrics(), nullptr);
+    EXPECT_NE(resident.budget(), nullptr);
+  }
+  EXPECT_EQ(resident.metrics(), nullptr);
+  EXPECT_EQ(resident.budget(), nullptr);
+}
+
+}  // namespace
+}  // namespace pincer

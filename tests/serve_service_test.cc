@@ -248,6 +248,36 @@ TEST_F(ServeServiceTest, AbortedRunsAreNeverCached) {
   EXPECT_EQ(MfsOf(retry), ColdMine(0.1, Algorithm::kPincerAdaptive).mfs);
 }
 
+TEST_F(ServeServiceTest, PassCappedQueryIsAbortedAndNeverCached) {
+  // A planted database whose pincer-adaptive run, with an MFCS cap of 2,
+  // needs more than 3 passes: capped at 3 its MFS is a partial answer.
+  const std::string path = path_ + ".planted";
+  const TransactionDatabase planted = MakePlantedDatabase(
+      /*num_items=*/16, /*num_transactions=*/200, /*num_planted=*/3,
+      /*pattern_size=*/7, /*pattern_frequency=*/0.3,
+      /*noise_probability=*/0.15, /*seed=*/1);
+  ASSERT_TRUE(WriteDatabaseToFile(planted, path).ok());
+  ServerOptions options;
+  options.databases = {{"planted", path}};
+  ASSERT_TRUE(InitService(options));
+  const std::string line =
+      MineLine("planted", 0.1, "pincer-adaptive",
+               R"(,"mfcs_cardinality_limit":2,"max_passes":3)");
+  const JsonValue capped = Handle(line);
+  ASSERT_TRUE(OkOf(capped));
+  EXPECT_EQ(CacheOf(capped), "miss");
+  EXPECT_TRUE(StatsBool(capped, "aborted"));
+  EXPECT_FALSE(StatsBool(capped, "budget_exceeded"));
+
+  // Not stored, so the repeat is mined again instead of served the
+  // truncated answer.
+  const JsonValue repeat = Handle(line);
+  ASSERT_TRUE(OkOf(repeat));
+  EXPECT_EQ(CacheOf(repeat), "miss");
+  EXPECT_TRUE(StatsBool(repeat, "aborted"));
+  std::remove(path.c_str());
+}
+
 TEST_F(ServeServiceTest, MaxBudgetClampsUnlimitedQueries) {
   ServerOptions options;
   options.databases = {{"quest", path_}};

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "apriori/apriori.h"
 #include "apriori/apriori_combined.h"
 #include "core/pincer_search.h"
 #include "counting/counter_factory.h"
 #include "counting/scan_budget.h"
+#include "extensions/partition.h"
+#include "extensions/sampling.h"
+#include "mining/miner.h"
 #include "testing/db_builder.h"
+#include "testing/differential.h"
 
 namespace pincer {
 namespace {
@@ -241,6 +248,75 @@ TEST(TimeBudget, PassCapTruncationIsAbortedButNotBudgetExceeded) {
   const MaximalSetResult pincer = PincerSearch(db, options);
   EXPECT_TRUE(pincer.stats.aborted);
   EXPECT_FALSE(pincer.stats.budget_exceeded);
+  EXPECT_EQ(pincer.stats.passes, 1u);
+}
+
+// One pass-cap rule for every algorithm: a capped run returns exactly the
+// uncapped MFS or says it was truncated, and never reads the database more
+// often than the cap allows. An MFCS cap of 2 drives pincer-adaptive
+// through its switch-off to plain bottom-up passes on these planted
+// databases, where truncation is easiest to miss.
+TEST(TimeBudget, PassCapNeverReturnsASilentPartialResult) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const TransactionDatabase db = MakePlantedDatabase(
+        /*num_items=*/16, /*num_transactions=*/200, /*num_planted=*/3,
+        /*pattern_size=*/7, /*pattern_frequency=*/0.3,
+        /*noise_probability=*/0.15, seed);
+    for (const Algorithm algorithm :
+         {Algorithm::kApriori, Algorithm::kAprioriCombined,
+          Algorithm::kPincer, Algorithm::kPincerAdaptive}) {
+      MiningOptions options;
+      options.min_support = 0.1;
+      options.mfcs_cardinality_limit = 2;
+      const MaximalSetResult uncapped = MineMaximal(db, options, algorithm);
+      ASSERT_FALSE(uncapped.stats.aborted);
+      for (size_t cap = 1; cap <= uncapped.stats.passes; ++cap) {
+        options.max_passes = cap;
+        const MaximalSetResult capped = MineMaximal(db, options, algorithm);
+        const std::string context = std::string(AlgorithmName(algorithm)) +
+                                    " seed " + std::to_string(seed) +
+                                    " cap " + std::to_string(cap);
+        EXPECT_LE(capped.stats.passes, cap) << context;
+        EXPECT_FALSE(capped.stats.budget_exceeded) << context;
+        if (!capped.stats.aborted) {
+          EXPECT_EQ(capped.mfs, uncapped.mfs) << context;
+        }
+        // A cap the run never needed to exceed truncates nothing.
+        if (cap == uncapped.stats.passes) {
+          EXPECT_FALSE(capped.stats.aborted) << context;
+        }
+      }
+    }
+  }
+}
+
+// Partition and Sampling stop on the budget like the paper miners do:
+// their nested runs get only what remains of it, their validation scans
+// poll it, and every stop latches budget_exceeded.
+TEST(TimeBudget, ExtensionMinersLatchTheBudgetLikeThePaperMiners) {
+  const TransactionDatabase db = MakePlantedDatabase(
+      /*num_items=*/16, /*num_transactions=*/20000, /*num_planted=*/3,
+      /*pattern_size=*/7, /*pattern_frequency=*/0.3,
+      /*noise_probability=*/0.15, /*seed=*/1);
+  MiningOptions options;
+  options.min_support = 0.1;
+  options.time_budget_ms = 1;
+  StatsExpectations expect;
+  expect.allow_aborted = true;
+  expect.abort_implies_budget = true;
+  const auto check = [&](const MiningStats& stats, std::string_view miner,
+                         bool paper_convention) {
+    EXPECT_TRUE(stats.aborted) << miner;
+    EXPECT_TRUE(stats.budget_exceeded) << miner;
+    expect.paper_candidate_convention = paper_convention;
+    for (const std::string& violation :
+         CheckStatsInvariants(stats, expect, miner)) {
+      ADD_FAILURE() << violation;
+    }
+  };
+  check(AprioriMine(db, options).stats, "apriori", true);
+  check(PartitionMine(db, options).stats, "partition", false);
+  check(SamplingMine(db, options).stats, "sampling", false);
 }
 
 TEST(TimeBudget, GenerousPassCapDoesNotTruncate) {

@@ -183,10 +183,6 @@ int main(int argc, char** argv) {
     std::cerr << "warning: skipped " << read_report.rows_skipped
               << " malformed row(s) (--malformed=skip)\n";
   }
-  if (db->num_dropped_items() > 0) {
-    std::cerr << "warning: dropped " << db->num_dropped_items()
-              << " item id(s) outside the declared universe\n";
-  }
 
   // The checkpoint carries the database file's identity so --resume can
   // refuse a checkpoint from different data.

@@ -34,6 +34,11 @@ Enforces project rules that clang-tidy cannot express (CI job
                    pool, counter, budget and pass cap from MiningRun, so the
                    run semantics live in one place instead of drifting
                    apart in copies.
+  basket-parse     no std::getline or std::istringstream under src/ outside
+                   the basket reader (src/data/basket_reader.{h,cc}). Every
+                   path reads basket files through that one reader, so the
+                   format rules (header, comments, tokens, positions,
+                   malformed-row policy) cannot drift apart in copies.
   include-guard    every header uses a PINCER_<PATH>_H_ include guard whose
                    name matches its path (src/ prefix stripped), so moves
                    and copies cannot silently collide.
@@ -82,6 +87,8 @@ RUN_PLUMBING = re.compile(
     r"\bThreadPool\s*[({]|\bCreateCounter\s*\(|"
     r"(\.|->)\s*(set_metrics|set_scan_budget)\s*\("
 )
+BASKET_READER_FILES = {"src/data/basket_reader.h", "src/data/basket_reader.cc"}
+BASKET_PARSE = re.compile(r"\bstd::(getline|istringstream)\b")
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
 
@@ -249,6 +256,22 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        if (
+            is_cpp
+            and in_src
+            and relpath not in BASKET_READER_FILES
+            and BASKET_PARSE.search(code)
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "basket-parse",
+                    "basket rows are parsed only by the basket reader — "
+                    "use BasketReader (src/data/basket_reader.h)",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -385,6 +408,24 @@ SELF_TEST_CASES = {
     "run-plumbing-comment-ok": (
         "src/core/x.cc",
         "// only the run context calls CreateCounter(backend, db)\n",
+    ),
+    "basket-parse-getline": (
+        "src/counting/x.cc",
+        "while (std::getline(in, line)) {\n",
+    ),
+    "basket-parse-istringstream": (
+        "src/orchestrate/x.cc",
+        "std::istringstream fields(line);\n",
+    ),
+    "basket-parse-reader-ok": (
+        "src/data/basket_reader.cc",
+        "std::istringstream fields(line);\n",
+    ),
+    "basket-parse-tests-ok": ("tests/x.cc", "std::istringstream in(text);\n"),
+    "basket-parse-ostringstream-ok": ("src/core/x.cc", "std::ostringstream os;\n"),
+    "basket-parse-comment-ok": (
+        "src/core/x.cc",
+        "// rows never go through std::getline here\n",
     ),
     "nondeterminism": ("src/core/x.cc", "int r = rand();\n"),
     "nondeterminism-gen-ok": ("src/gen/x.cc", "std::mt19937 rng;\n"),

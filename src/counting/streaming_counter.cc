@@ -3,29 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <limits>
-#include <sstream>
 #include <thread>
 
 #include "counting/candidate_trie.h"
 #include "counting/scan_budget.h"
+#include "data/basket_reader.h"
 #include "data/transaction.h"
 #include "util/contracts.h"
 #include "util/failpoint.h"
 
 namespace pincer {
-
-namespace {
-
-constexpr char kItemsHeaderPrefix[] = "# items:";
-
-// "line L, byte B" where B is the offset of the line's first byte.
-std::string Position(size_t line_number, uint64_t line_offset) {
-  return "line " + std::to_string(line_number) + ", byte " +
-         std::to_string(line_offset);
-}
-
-}  // namespace
 
 StreamingCounter::StreamingCounter(std::string path, StreamingOptions options)
     : path_(std::move(path)), options_(options) {}
@@ -48,7 +35,6 @@ StatusOr<std::vector<uint64_t>> StreamingCounter::CountSupports(
     }
     last_error = CountOnce(candidates, counts);
     if (last_error.ok()) {
-      rows_skipped_ += last_pass_rows_skipped_;
       PINCER_CHECK(counts.size() == candidates.size(),
                   "count vector out of step with candidate vector: ",
                   counts.size(), " vs ", candidates.size());
@@ -80,103 +66,29 @@ Status StreamingCounter::CountOnce(const std::vector<Itemset>& candidates,
   // later row fails and the attempt is discarded.
   ++passes_;
   last_pass_transactions_ = 0;
-  last_pass_rows_skipped_ = 0;
 
-  std::string line;
-  size_t line_number = 0;
-  uint64_t byte_offset = 0;        // offset of the current line's first byte
-  size_t declared_items = 0;       // from "# items: N"; 0 = no header seen
+  BasketReader reader(in, {options_.malformed_rows, "streaming.read",
+                           "streaming.parse_row", path_});
   Transaction transaction;
-  while (true) {
-    PINCER_FAILPOINT("streaming.read");
-    if (options_.budget != nullptr &&
-        line_number % kScanAbortCheckRows == 0 && line_number > 0 &&
+  PINCER_RETURN_IF_ERROR(reader.ForEachRow([&](const BasketRow& row) {
+    if (options_.budget != nullptr && last_pass_transactions_ > 0 &&
+        last_pass_transactions_ % kScanAbortCheckRows == 0 &&
         options_.budget->Check()) {
       // FailedPrecondition, not IoError: a timed-out scan must not be
       // retried by the retry policy (it would time out again, later).
       return Status::FailedPrecondition(
-          "time budget exceeded after " + std::to_string(line_number) +
-          " rows of " + path_);
+          "time budget exceeded after " +
+          std::to_string(last_pass_transactions_) + " rows of " + path_);
     }
-    if (!std::getline(in, line)) break;
-    ++line_number;
-    const uint64_t line_offset = byte_offset;
-    byte_offset += line.size() + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.rfind(kItemsHeaderPrefix, 0) == 0) {
-      std::istringstream header(line.substr(sizeof(kItemsHeaderPrefix) - 1));
-      long long declared = 0;
-      if (header >> declared && declared > 0) {
-        declared_items = static_cast<size_t>(declared);
-      }
-      continue;
-    }
-    if (!line.empty() && line[0] == '#') continue;
-    PINCER_FAILPOINT_ROW("streaming.parse_row", line);
-
-    transaction.clear();
-    bool skip_row = false;
-    std::istringstream fields(line);
-    long long raw = 0;
-    while (fields >> raw) {
-      if (raw < 0) {
-        if (options_.malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        return Status::InvalidArgument(
-            "negative item id at " + Position(line_number, line_offset) +
-            " of " + path_);
-      }
-      if (raw > static_cast<long long>(std::numeric_limits<ItemId>::max())) {
-        if (options_.malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        return Status::InvalidArgument(
-            "item id overflows 32 bits at " +
-            Position(line_number, line_offset) + " of " + path_);
-      }
-      const auto item = static_cast<ItemId>(raw);
-      // Cross-check against the declared universe: an id at or beyond
-      // "# items: N" means the header lies about the file.
-      if (declared_items > 0 && item >= declared_items) {
-        if (options_.malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        return Status::InvalidArgument(
-            "item id " + std::to_string(raw) + " exceeds declared universe (" +
-            "# items: " + std::to_string(declared_items) + ") at " +
-            Position(line_number, line_offset) + " of " + path_);
-      }
-      transaction.push_back(item);
-    }
-    if (!skip_row && !fields.eof()) {
-      if (options_.malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-        skip_row = true;
-      } else {
-        return Status::InvalidArgument(
-            "non-numeric token at " + Position(line_number, line_offset) +
-            " of " + path_);
-      }
-    }
-    if (skip_row) {
-      ++last_pass_rows_skipped_;
-      continue;
-    }
-    if (transaction.empty()) continue;
+    transaction.assign(row.items.begin(), row.items.end());
     std::sort(transaction.begin(), transaction.end());
     transaction.erase(std::unique(transaction.begin(), transaction.end()),
                       transaction.end());
     ++last_pass_transactions_;
     if (num_nonempty > 0) trie.CountTransaction(transaction, counts);
-  }
-  if (in.bad()) {
-    return Status::IoError("read failed at " +
-                           Position(line_number + 1, byte_offset) + " of " +
-                           path_);
-  }
+    return Status::OK();
+  }));
+  rows_skipped_ += reader.rows_skipped();
 
   // Empty itemsets are supported by every transaction seen this pass.
   for (size_t i = 0; i < candidates.size(); ++i) {

@@ -44,7 +44,7 @@ struct StreamingOptions {
 /// database, and its operations can fail with I/O errors.
 class StreamingCounter {
  public:
-  /// Binds to a basket-format file (see data/database_io.h). The file is
+  /// Binds to a basket-format file (see data/basket_reader.h). The file is
   /// opened on each call, so it may be created after the counter.
   explicit StreamingCounter(std::string path)
       : StreamingCounter(std::move(path), StreamingOptions{}) {}
@@ -75,8 +75,9 @@ class StreamingCounter {
   uint64_t rows_skipped() const { return rows_skipped_; }
 
  private:
-  /// One scan attempt. Fills `counts` (resized and zeroed here) and the
-  /// last_pass_* tallies; on error the caller discards everything.
+  /// One scan attempt. Fills `counts` (resized and zeroed here) and
+  /// last_pass_transactions_, and adds to rows_skipped_ only on success; on
+  /// error the caller discards everything.
   Status CountOnce(const std::vector<Itemset>& candidates,
                    std::vector<uint64_t>& counts);
 
@@ -86,7 +87,6 @@ class StreamingCounter {
   uint64_t last_pass_transactions_ = 0;
   uint64_t retries_ = 0;
   uint64_t rows_skipped_ = 0;
-  uint64_t last_pass_rows_skipped_ = 0;
 };
 
 }  // namespace pincer

@@ -2,138 +2,35 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "data/basket_reader.h"
 #include "util/failpoint.h"
 
 namespace pincer {
 
-namespace {
-
-constexpr char kItemsHeaderPrefix[] = "# items:";
-
-std::string Position(size_t line_number, uint64_t line_offset) {
-  return "line " + std::to_string(line_number) + ", byte " +
-         std::to_string(line_offset);
-}
-
-}  // namespace
-
 StatusOr<TransactionDatabase> ReadDatabase(std::istream& in,
                                            const DatabaseReadOptions& options,
                                            DatabaseReadReport* report) {
-  const bool skip_malformed =
-      options.malformed_rows == MalformedRowPolicy::kSkipAndCount;
+  BasketReader reader(in, {options.malformed_rows, "database.read",
+                           "database.read_row", ""});
   std::vector<Transaction> transactions;
-  size_t declared_items = 0;
-  ItemId max_item = 0;
-  bool saw_item = false;
-  // Position of the row carrying the largest id seen so far, for the
-  // header cross-check error message.
-  size_t max_item_line = 0;
-  uint64_t max_item_offset = 0;
-  uint64_t rows_skipped = 0;
+  size_t num_items = 0;  // max id + 1
+  PINCER_RETURN_IF_ERROR(reader.ForEachRow([&](const BasketRow& row) {
+    transactions.emplace_back(row.items.begin(), row.items.end());
+    for (const ItemId item : row.items) {
+      num_items = std::max(num_items, static_cast<size_t>(item) + 1);
+    }
+    return Status::OK();
+  }));
 
-  std::string line;
-  size_t line_number = 0;
-  uint64_t byte_offset = 0;  // offset of the current line's first byte
-  while (true) {
-    PINCER_FAILPOINT("database.read");
-    if (!std::getline(in, line)) break;
-    ++line_number;
-    const uint64_t line_offset = byte_offset;
-    byte_offset += line.size() + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.rfind(kItemsHeaderPrefix, 0) == 0) {
-      std::istringstream header(line.substr(sizeof(kItemsHeaderPrefix) - 1));
-      long long declared = 0;
-      if (!(header >> declared) || declared < 0) {
-        if (skip_malformed) {
-          ++rows_skipped;
-          continue;
-        }
-        return Status::InvalidArgument(
-            "bad items header at " + Position(line_number, line_offset));
-      }
-      declared_items = static_cast<size_t>(declared);
-      continue;
-    }
-    if (!line.empty() && line[0] == '#') continue;
-    PINCER_FAILPOINT_ROW("database.read_row", line);
-
-    Transaction transaction;
-    bool skip_row = false;
-    std::istringstream fields(line);
-    long long raw = 0;
-    while (fields >> raw) {
-      if (raw < 0) {
-        if (skip_malformed) {
-          skip_row = true;
-          break;
-        }
-        return Status::InvalidArgument("negative item id at " +
-                                       Position(line_number, line_offset));
-      }
-      if (raw > static_cast<long long>(std::numeric_limits<ItemId>::max())) {
-        if (skip_malformed) {
-          skip_row = true;
-          break;
-        }
-        return Status::InvalidArgument("item id overflows 32 bits at " +
-                                       Position(line_number, line_offset));
-      }
-      const auto item = static_cast<ItemId>(raw);
-      transaction.push_back(item);
-      if (!saw_item || item > max_item) {
-        max_item = item;
-        max_item_line = line_number;
-        max_item_offset = line_offset;
-      }
-      saw_item = true;
-    }
-    if (!skip_row && !fields.eof()) {
-      if (skip_malformed) {
-        skip_row = true;
-      } else {
-        return Status::InvalidArgument("non-numeric token at " +
-                                       Position(line_number, line_offset));
-      }
-    }
-    if (skip_row) {
-      ++rows_skipped;
-      continue;
-    }
-    if (!transaction.empty()) transactions.push_back(std::move(transaction));
-  }
-  if (in.bad()) {
-    return Status::IoError("read failed at " +
-                           Position(line_number + 1, byte_offset));
-  }
-
-  // Cross-check the declared universe against what the file actually holds:
-  // a header that undercounts is a lie about the data, not a formatting
-  // nicety — strict mode rejects it, skip mode honors the header and lets
-  // AddTransaction drop (and tally) the out-of-universe items.
-  size_t num_items = declared_items;
-  if (saw_item && static_cast<size_t>(max_item) + 1 > declared_items) {
-    if (declared_items > 0 && !skip_malformed) {
-      return Status::InvalidArgument(
-          "item id " + std::to_string(max_item) +
-          " exceeds declared universe (# items: " +
-          std::to_string(declared_items) + ") at " +
-          Position(max_item_line, max_item_offset));
-    }
-    if (declared_items == 0) num_items = static_cast<size_t>(max_item) + 1;
-  }
-
-  TransactionDatabase db(num_items);
+  // max id + 1 bounds every accepted id, so AddTransaction drops none.
+  TransactionDatabase db(std::max(num_items, reader.declared_items()));
   for (auto& transaction : transactions) {
     db.AddTransaction(std::move(transaction));
   }
-  if (report != nullptr) report->rows_skipped = rows_skipped;
+  if (report != nullptr) report->rows_skipped = reader.rows_skipped();
   return db;
 }
 

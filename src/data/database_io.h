@@ -29,13 +29,13 @@ struct DatabaseReadReport {
   uint64_t rows_skipped = 0;
 };
 
-/// Parses a database from a stream. Item ids must be non-negative integers
-/// that fit ItemId; `num_items` of the result is max id + 1 (or the declared
-/// universe via an optional header line "# items: N" — a larger observed id
-/// is cross-checked against that header and rejected under the strict
-/// policy). Returns InvalidArgument naming the 1-based line number and byte
-/// offset on malformed input; under kSkipAndCount malformed rows are
-/// dropped and tallied in `report` instead.
+/// Parses a database from a stream with the basket reader
+/// (data/basket_reader.h). `num_items` of the result is the larger of max
+/// id + 1 and the last "# items: N" header, so no accepted id is dropped.
+/// Returns InvalidArgument naming the 1-based line number and byte offset
+/// of a malformed line (such as a row holding an id at or beyond the header
+/// in force); under kSkipAndCount the whole line is dropped and tallied in
+/// `report` instead.
 StatusOr<TransactionDatabase> ReadDatabase(std::istream& in,
                                            const DatabaseReadOptions& options,
                                            DatabaseReadReport* report);

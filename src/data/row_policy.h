@@ -1,7 +1,8 @@
 // Policy for rows that fail to parse (non-numeric tokens, negative or
-// overflowing item ids, items at or beyond the declared universe). Shared
-// by the in-memory reader (data/database_io.h) and the disk-streaming
-// counter (counting/streaming_counter.h).
+// overflowing item ids, items at or beyond the declared universe) and for
+// bad "# items: N" headers. The basket reader (data/basket_reader.h)
+// applies it, so the in-memory loader, the disk-streaming counter and the
+// sharder all treat a malformed line the same way.
 
 #ifndef PINCER_DATA_ROW_POLICY_H_
 #define PINCER_DATA_ROW_POLICY_H_

@@ -2,24 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
-#include "itemset/item.h"
+#include "data/basket_reader.h"
 #include "util/failpoint.h"
 
 namespace pincer {
-
-namespace {
-
-constexpr char kItemsHeaderPrefix[] = "# items:";
-
-std::string Position(size_t line_number, uint64_t line_offset) {
-  return "line " + std::to_string(line_number) + ", byte " +
-         std::to_string(line_offset);
-}
-
-}  // namespace
 
 std::string ShardFileName(size_t shard_index) {
   char name[32];
@@ -58,107 +45,30 @@ StatusOr<ShardPlan> ShardDatabaseFile(const std::string& database_path,
     }
   }
 
-  std::string line;
-  size_t line_number = 0;
-  uint64_t byte_offset = 0;  // offset of the current line's first byte
-  bool header_copied = false;
-  std::vector<ItemId> transaction;
-  while (true) {
-    PINCER_FAILPOINT("streaming.read");
-    if (!std::getline(in, line)) break;
-    ++line_number;
-    const uint64_t line_offset = byte_offset;
-    byte_offset += line.size() + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.rfind(kItemsHeaderPrefix, 0) == 0) {
-      std::istringstream header(line.substr(sizeof(kItemsHeaderPrefix) - 1));
-      long long declared = 0;
-      if (header >> declared && declared > 0) {
-        plan.declared_items = static_cast<size_t>(declared);
-        // Copy the declared universe into every shard, so each worker
-        // applies the same out-of-range cross-checks the source implies. A
-        // header appearing after the first transaction is not copied (the
-        // shard files would apply it to rows the source did not).
-        if (plan.transactions == 0 && !header_copied) {
-          for (std::ofstream& out : outs) out << line << '\n';
-          header_copied = true;
-        }
-      }
-      continue;
-    }
-    if (!line.empty() && line[0] == '#') continue;
-    PINCER_FAILPOINT_ROW("streaming.parse_row", line);
-
-    // Validate exactly like the streaming/database readers: the shard
-    // files must be clean so workers can read them strictly.
-    transaction.clear();
-    bool skip_row = false;
-    std::istringstream fields(line);
-    long long raw = 0;
-    while (fields >> raw) {
-      if (raw < 0) {
-        if (malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        cleanup();
-        return Status::InvalidArgument(
-            "negative item id at " + Position(line_number, line_offset) +
-            " of " + database_path);
-      }
-      if (raw > static_cast<long long>(std::numeric_limits<ItemId>::max())) {
-        if (malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        cleanup();
-        return Status::InvalidArgument(
-            "item id overflows 32 bits at " +
-            Position(line_number, line_offset) + " of " + database_path);
-      }
-      const auto item = static_cast<ItemId>(raw);
-      if (plan.declared_items > 0 && item >= plan.declared_items) {
-        if (malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-          skip_row = true;
-          break;
-        }
-        cleanup();
-        return Status::InvalidArgument(
-            "item id " + std::to_string(raw) + " exceeds declared universe (" +
-            "# items: " + std::to_string(plan.declared_items) + ") at " +
-            Position(line_number, line_offset) + " of " + database_path);
-      }
-      transaction.push_back(item);
-    }
-    if (!skip_row && !fields.eof()) {
-      if (malformed_rows == MalformedRowPolicy::kSkipAndCount) {
-        skip_row = true;
-      } else {
-        cleanup();
-        return Status::InvalidArgument(
-            "non-numeric token at " + Position(line_number, line_offset) +
-            " of " + database_path);
-      }
-    }
-    if (skip_row) {
-      ++plan.rows_skipped;
-      continue;
-    }
-    if (transaction.empty()) continue;
-
-    // Round-robin on the index of the valid transaction: shard membership
-    // is a pure function of (file contents, num_shards).
-    const size_t shard = plan.transactions % num_shards;
-    outs[shard] << line << '\n';
-    ++plan.shards[shard].rows;
-    ++plan.transactions;
-  }
-  if (in.bad()) {
+  // Every header goes into every shard at its place in the stream, so each
+  // shard row sits under the same declared universe as in the source.
+  BasketReader reader(in, {malformed_rows, "streaming.read",
+                           "streaming.parse_row", database_path});
+  const Status status = reader.ForEachRow(
+      [&](const BasketRow& row) {
+        // Round-robin on the index of the valid transaction: shard
+        // membership is a pure function of (file contents, num_shards).
+        const size_t shard = plan.transactions % num_shards;
+        outs[shard] << row.text << '\n';
+        ++plan.shards[shard].rows;
+        ++plan.transactions;
+        return Status::OK();
+      },
+      [&](const BasketRow& header) {
+        for (std::ofstream& out : outs) out << header.text << '\n';
+        return Status::OK();
+      });
+  if (!status.ok()) {
     cleanup();
-    return Status::IoError("read failed at " +
-                           Position(line_number + 1, byte_offset) + " of " +
-                           database_path);
+    return status;
   }
+  plan.rows_skipped = reader.rows_skipped();
+  plan.declared_items = reader.declared_items();
 
   for (size_t s = 0; s < num_shards; ++s) {
     outs[s].flush();

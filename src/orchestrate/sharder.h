@@ -2,14 +2,14 @@
 // ever materializing the database in memory. Valid transactions are dealt
 // round-robin, so shard membership is a pure function of (file, S) and the
 // shard files are bit-identical across runs — the foundation of the
-// orchestrator's determinism argument (docs/sharding.md). Rows are
-// validated with the same parser and MalformedRowPolicy semantics as the
-// database_io/streaming readers: strict fails the split with the row's
-// line number and byte offset, skip-and-count drops and tallies it, so a
-// worker reading its shard afterwards never sees a malformed row. The
-// declared "# items: N" header is copied into every shard. Shard files are
-// written to temp names and renamed into place only after every stream
-// flushed cleanly.
+// orchestrator's determinism argument (docs/sharding.md). Rows go through
+// the basket reader (data/basket_reader.h), the one every other path
+// uses: strict fails the split with the row's line number and byte
+// offset, skip-and-count drops and tallies it, so a worker reading its
+// shard afterwards never sees a malformed row. Every valid "# items: N"
+// header is copied into every shard at its place in the stream. Shard
+// files are written to temp names and renamed into place only after every
+// stream flushed cleanly.
 
 #ifndef PINCER_ORCHESTRATE_SHARDER_H_
 #define PINCER_ORCHESTRATE_SHARDER_H_
@@ -37,7 +37,7 @@ struct ShardPlan {
   uint64_t transactions = 0;
   /// Malformed rows dropped under MalformedRowPolicy::kSkipAndCount.
   uint64_t rows_skipped = 0;
-  /// The source's "# items: N" declaration (0 = no header).
+  /// The source's last "# items: N" declaration (0 = no header).
   size_t declared_items = 0;
 };
 

@@ -10,11 +10,13 @@
 // predictable branch and never takes a lock.
 //
 // Points wired in this repo:
-//   streaming.open       StreamingCounter / ReadDatabaseFromFile file open
-//   streaming.read       StreamingCounter per-row read loop
-//   streaming.parse_row  StreamingCounter row buffer (corruption target)
-//   database.read        ReadDatabase per-row read loop
-//   database.read_row    ReadDatabase row buffer (corruption target)
+//   streaming.open       StreamingCounter / ReadDatabaseFromFile / sharder open
+//   streaming.read       StreamingCounter and sharder, per line read
+//   streaming.parse_row  StreamingCounter and sharder row (corruption target)
+//   database.read        ReadDatabase per line read
+//   database.read_row    ReadDatabase row (corruption target)
+// The four read and row points fire inside the basket reader
+// (data/basket_reader.h), which takes their names from its callers.
 //   checkpoint.write     checkpoint file write
 //   socket.accept        AcceptConnection, once per call
 //   socket.read          LineReader::ReadLine, once per line
@@ -112,7 +114,7 @@ HitResult Hit(std::string_view name);
 Status ErrorFor(std::string_view name, Effect effect);
 
 /// Applies the kCorruptRow effect: appends a non-numeric token to `row`,
-/// which the strict parsers reject and the skip-and-count policy tallies.
+/// which the strict policy rejects and the skip-and-count policy tallies.
 void CorruptRow(std::string& row);
 
 /// Arms failpoints from a spec string:
@@ -146,23 +148,6 @@ inline bool AnyArmed() {
     if (::pincer::failpoint::AnyArmed()) {                                  \
       const ::pincer::failpoint::HitResult _fp = ::pincer::failpoint::Hit(name); \
       if (_fp.fired) return ::pincer::failpoint::ErrorFor(name, _fp.effect); \
-    }                                                                       \
-  } while (false)
-
-/// Evaluates failpoint `name` against a row buffer: kCorruptRow mutates
-/// `row` in place (and execution continues); Status effects return as in
-/// PINCER_FAILPOINT.
-#define PINCER_FAILPOINT_ROW(name, row)                                     \
-  do {                                                                      \
-    if (::pincer::failpoint::AnyArmed()) {                                  \
-      const ::pincer::failpoint::HitResult _fp = ::pincer::failpoint::Hit(name); \
-      if (_fp.fired) {                                                      \
-        if (_fp.effect == ::pincer::failpoint::Effect::kCorruptRow) {       \
-          ::pincer::failpoint::CorruptRow(row);                             \
-        } else {                                                            \
-          return ::pincer::failpoint::ErrorFor(name, _fp.effect);           \
-        }                                                                   \
-      }                                                                     \
     }                                                                       \
   } while (false)
 

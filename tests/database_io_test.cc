@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "data/basket_reader.h"
 #include "data/database_io.h"
 #include "testing/db_builder.h"
 #include "util/prng.h"
@@ -121,28 +125,136 @@ StatusOr<TransactionDatabase> ReadSkipping(const std::string& text,
   return ReadDatabase(in, options, &report);
 }
 
+// `rows` lines of "1\n": 2 * rows bytes.
+std::string OneRows(size_t rows) {
+  std::string text;
+  for (size_t i = 0; i < rows; ++i) text += "1\n";
+  return text;
+}
+
 TEST(DatabaseIo, ErrorsCarryLineNumberAndByteOffset) {
-  // "0 1\n" is 4 bytes, so the bad row starts at line 2, byte 4.
-  std::istringstream in("0 1\n2 x\n");
+  constexpr size_t kBlockRows = kBasketBlockBytes / 2;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // "0 1\n" is 4 bytes, so the bad row starts at line 2, byte 4.
+      {"0 1\n2 x\n", "line 2, byte 4"},
+      // A '\r' before each '\n' still counts as a byte.
+      {"0 1\r\n2 3\r\n4 x\r\n", "line 3, byte 10"},
+      // Bad rows just before, at, and just past the reader's block boundary.
+      {OneRows(kBlockRows - 1) + "2 x\n",
+       "line " + std::to_string(kBlockRows) + ", byte " +
+           std::to_string(kBasketBlockBytes - 2)},
+      {OneRows(kBlockRows) + "2 x\n",
+       "line " + std::to_string(kBlockRows + 1) + ", byte " +
+           std::to_string(kBasketBlockBytes)},
+      {OneRows(kBlockRows) + "\r\n2 x\n",
+       "line " + std::to_string(kBlockRows + 2) + ", byte " +
+           std::to_string(kBasketBlockBytes + 2)},
+  };
+  for (const auto& [text, position] : cases) {
+    std::istringstream in(text);
+    const StatusOr<TransactionDatabase> db = ReadDatabase(in);
+    ASSERT_FALSE(db.ok()) << position;
+    EXPECT_NE(db.status().message().find(position), std::string::npos)
+        << db.status();
+  }
+}
+
+// A row the reader's block boundary cuts in two, at every cut point, reads
+// exactly as it would whole.
+TEST(DatabaseIo, RowsStraddlingTheBlockBoundaryParseIdentically) {
+  const std::string row = "123456 78 9\n";
+  const Transaction expected = {9, 78, 123456};
+  for (size_t start = kBasketBlockBytes - row.size();
+       start <= kBasketBlockBytes; ++start) {
+    // A one- or two-byte comment line sets the parity of the filler.
+    const std::string comment = start % 2 == 0 ? "#\n" : "#x\n";
+    const size_t filler_rows = (start - comment.size()) / 2;
+    const std::string text = comment + OneRows(filler_rows) + row + "5";
+    ASSERT_EQ(text.find(row), start);
+    std::istringstream in(text);
+    const StatusOr<TransactionDatabase> db = ReadDatabase(in);
+    ASSERT_TRUE(db.ok()) << "start " << start << ": " << db.status();
+    ASSERT_EQ(db->size(), filler_rows + 2) << "start " << start;
+    EXPECT_EQ(db->transaction(filler_rows), expected) << "start " << start;
+    EXPECT_EQ(db->transaction(filler_rows + 1), Transaction{5});
+    EXPECT_EQ(db->num_items(), 123457u);
+  }
+
+  // A row longer than a whole block.
+  std::string long_row;
+  Transaction long_expected;
+  for (ItemId id = 0; long_row.size() <= 2 * kBasketBlockBytes; ++id) {
+    long_row += std::to_string(id) + " ";
+    long_expected.push_back(id);
+  }
+  std::istringstream in("7\n" + long_row + "\n8\n");
   const StatusOr<TransactionDatabase> db = ReadDatabase(in);
-  ASSERT_FALSE(db.ok());
-  EXPECT_NE(db.status().message().find("line 2, byte 4"), std::string::npos)
-      << db.status();
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_EQ(db->size(), 3u);
+  EXPECT_EQ(db->transaction(1), long_expected);
+  EXPECT_EQ(db->transaction(2), Transaction{8});
 }
 
 TEST(DatabaseIo, IdOverflowRejectedStrictSkippedOtherwise) {
-  const std::string text = "1 2\n1 4294967296\n3\n";  // 2^32 overflows ItemId
-  std::istringstream strict(text);
-  const StatusOr<TransactionDatabase> rejected = ReadDatabase(strict);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("overflows"), std::string::npos);
+  struct Case {
+    std::string text;
+    std::string error;
+    size_t kept_rows;
+  };
+  const std::vector<Case> cases = {
+      // 2^32 overflows ItemId.
+      {"1 2\n1 4294967296\n3\n",
+       "item id overflows 32 bits at line 2, byte 4", 2},
+      // Past 2^63 at the end of a row.
+      {"# items: 10\n1 2 99999999999999999999\n1 2",
+       "item id overflows 32 bits at line 2, byte 12", 1},
+  };
+  for (const Case& c : cases) {
+    std::istringstream strict(c.text);
+    const StatusOr<TransactionDatabase> rejected = ReadDatabase(strict);
+    ASSERT_FALSE(rejected.ok()) << c.text;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find(c.error), std::string::npos)
+        << rejected.status();
 
-  DatabaseReadReport report;
-  const StatusOr<TransactionDatabase> skipped = ReadSkipping(text, report);
-  ASSERT_TRUE(skipped.ok()) << skipped.status();
-  EXPECT_EQ(report.rows_skipped, 1u);
-  EXPECT_EQ(skipped->size(), 2u);
+    DatabaseReadReport report;
+    const StatusOr<TransactionDatabase> skipped = ReadSkipping(c.text, report);
+    ASSERT_TRUE(skipped.ok()) << skipped.status();
+    EXPECT_EQ(report.rows_skipped, 1u) << c.text;
+    EXPECT_EQ(skipped->size(), c.kept_rows) << c.text;
+  }
+}
+
+// The item-token grammar is operator>>'s: an optional sign, then digits up
+// to the first non-digit, separated by any whitespace.
+TEST(DatabaseIo, TokenGrammarMatchesStreamExtraction) {
+  const std::vector<std::pair<std::string, Transaction>> accepted = {
+      {"+1 2\n", {1, 2}},
+      {"-0 3\n", {0, 3}},
+      {"1\t2\v3\f4\n", {1, 2, 3, 4}},
+      {"5 \r 6\r\n", {5, 6}},
+      {"1+2\n", {1, 2}},
+  };
+  for (const auto& [text, expected] : accepted) {
+    std::istringstream in(text);
+    const StatusOr<TransactionDatabase> db = ReadDatabase(in);
+    ASSERT_TRUE(db.ok()) << text << ": " << db.status();
+    ASSERT_EQ(db->size(), 1u) << text;
+    EXPECT_EQ(db->transaction(0), expected) << text;
+  }
+  for (const char* text : {"1-2\n", "12abc\n", "1.5\n", "0x10\n", "- 1\n",
+                           "1 +\n", "1 -99999999999999999999\n"}) {
+    std::istringstream in(text);
+    const StatusOr<TransactionDatabase> rejected = ReadDatabase(in);
+    ASSERT_FALSE(rejected.ok()) << text;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << text;
+
+    DatabaseReadReport report;
+    const StatusOr<TransactionDatabase> skipped = ReadSkipping(text, report);
+    ASSERT_TRUE(skipped.ok()) << skipped.status();
+    EXPECT_EQ(report.rows_skipped, 1u) << text;
+    EXPECT_EQ(skipped->size(), 0u) << text;
+  }
 }
 
 TEST(DatabaseIo, NegativeIdSkippedUnderSkipPolicy) {
@@ -202,8 +314,8 @@ TEST(DatabaseIo, AbsurdHeaderValues) {
 
 TEST(DatabaseIo, HeaderUndercountCrossCheck) {
   // The header declares 3 items but the file holds id 7: strict mode calls
-  // the lie out, naming the offending row; skip mode honors the header and
-  // lets the database drop (and tally) the out-of-universe items.
+  // the lie out, naming the offending row; skip mode drops that whole row,
+  // as the streaming counter and the sharder do.
   const std::string text = "# items: 3\n0 1\n2 7\n";
   std::istringstream strict(text);
   const StatusOr<TransactionDatabase> rejected = ReadDatabase(strict);
@@ -219,8 +331,9 @@ TEST(DatabaseIo, HeaderUndercountCrossCheck) {
   const StatusOr<TransactionDatabase> skipped = ReadSkipping(text, report);
   ASSERT_TRUE(skipped.ok()) << skipped.status();
   EXPECT_EQ(skipped->num_items(), 3u);
-  EXPECT_EQ(skipped->size(), 2u);
-  EXPECT_EQ(skipped->num_dropped_items(), 1u);  // the 7
+  EXPECT_EQ(skipped->size(), 1u);
+  EXPECT_EQ(report.rows_skipped, 1u);
+  EXPECT_EQ(skipped->num_dropped_items(), 0u);
 }
 
 }  // namespace

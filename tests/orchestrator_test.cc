@@ -198,6 +198,38 @@ TEST_F(OrchestratorTest, MatchesSingleProcessAcrossShardAndSlotCounts) {
   }
 }
 
+// Skip mode over a row holding an id past the declared universe: the
+// sharded job drops that whole row, as the in-memory reader does, so the
+// MFS and its supports match ReadDatabaseFromFile + MineMaximal ({0 1} has
+// support 3, not 4).
+TEST_F(OrchestratorTest, SkipPolicyMatchesTheInMemoryReader) {
+  const std::string path = dir_ + "/out_of_universe.basket";
+  {
+    std::ofstream out(path);
+    out << "# items: 3\n0 1\n0 1 7\n0 1 2\n0 2\n1 2\n0 1 2\n";
+  }
+  DatabaseReadOptions read_options;
+  read_options.malformed_rows = MalformedRowPolicy::kSkipAndCount;
+  DatabaseReadReport report;
+  const StatusOr<TransactionDatabase> db =
+      ReadDatabaseFromFile(path, read_options, &report);
+  ASSERT_TRUE(db.ok()) << db.status();
+  MiningOptions mining;
+  mining.min_support = 0.5;
+  const MaximalSetResult reference =
+      MineMaximal(*db, mining, Algorithm::kPincerAdaptive);
+
+  OrchestratorOptions options = BaseOptions("skip");
+  options.min_support = 0.5;
+  options.num_shards = 2;
+  options.malformed_rows = MalformedRowPolicy::kSkipAndCount;
+  const StatusOr<OrchestratorResult> result = OrchestrateMining(path, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->mfs, reference.mfs);
+  EXPECT_EQ(result->stats.rows_skipped, report.rows_skipped);
+  EXPECT_EQ(result->stats.transactions, db->size());
+}
+
 // Crash recovery: every worker SIGKILLs itself after its first checkpoint
 // write, relaunches with --resume, and the merged answer is still
 // bit-identical. This is the "every worker killed at least once" schedule.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "data/database_io.h"
 #include "orchestrate/sharder.h"
 #include "util/failpoint.h"
 
@@ -132,6 +133,50 @@ TEST_F(SharderTest, SkipPolicyDropsAndCountsMalformedRows) {
   // The two valid transactions deal round-robin over the survivors only.
   EXPECT_EQ(ReadFile(plan->shards[0].path), "# items: 5\n1 2\n");
   EXPECT_EQ(ReadFile(plan->shards[1].path), "# items: 5\n3 4\n");
+}
+
+// Bad headers follow the policy as in every other reader: strict fails the
+// split, skip drops and tallies the header line (and copies it nowhere).
+TEST_F(SharderTest, BadHeadersFollowThePolicy) {
+  for (const char* header :
+       {"# items: many\n", "# items: -4\n",
+        "# items: 99999999999999999999999\n"}) {
+    WriteSource(std::string(header) + "1 2\n3 4\n");
+    const StatusOr<ShardPlan> strict =
+        ShardDatabaseFile(source_, dir_, 2, MalformedRowPolicy::kStrict);
+    ASSERT_FALSE(strict.ok()) << header;
+    EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(strict.status().message().find("header"), std::string::npos)
+        << strict.status();
+
+    const StatusOr<ShardPlan> skipped = ShardDatabaseFile(
+        source_, dir_, 2, MalformedRowPolicy::kSkipAndCount);
+    ASSERT_TRUE(skipped.ok()) << skipped.status();
+    EXPECT_EQ(skipped->rows_skipped, 1u) << header;
+    EXPECT_EQ(skipped->transactions, 2u);
+    EXPECT_EQ(skipped->declared_items, 0u);
+    EXPECT_EQ(ReadFile(skipped->shards[0].path), "1 2\n");
+  }
+}
+
+// A header after the first transaction applies to the rows after it, so
+// it goes into every shard at that place: each shard reads back strictly
+// under the same universe as the source.
+TEST_F(SharderTest, LaterHeadersAreCopiedInPlace) {
+  WriteSource("# items: 5\n1 2\n# items: 10\n7 8\n3 4\n");
+  const StatusOr<ShardPlan> plan =
+      ShardDatabaseFile(source_, dir_, 2, MalformedRowPolicy::kStrict);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->declared_items, 10u);
+  EXPECT_EQ(ReadFile(plan->shards[0].path),
+            "# items: 5\n1 2\n# items: 10\n3 4\n");
+  EXPECT_EQ(ReadFile(plan->shards[1].path),
+            "# items: 5\n# items: 10\n7 8\n");
+  for (const ShardInfo& shard : plan->shards) {
+    const StatusOr<TransactionDatabase> db = ReadDatabaseFromFile(shard.path);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ(db->num_items(), 10u);
+  }
 }
 
 TEST_F(SharderTest, ZeroShardsIsInvalidArgument) {

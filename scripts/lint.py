@@ -39,6 +39,11 @@ Enforces project rules that clang-tidy cannot express (CI job
                    path reads basket files through that one reader, so the
                    format rules (header, comments, tokens, positions,
                    malformed-row policy) cannot drift apart in copies.
+  subset-scan      `.IsSubsetOf(` under src/ only in src/itemset/, src/core/
+                   and src/testing/. The miners, serve and orchestrate
+                   cover through Mfs / MaximalOf (src/core/mfs.h), so
+                   maximality is computed by one routine and no caller
+                   grows its own hand-rolled cover scan.
   include-guard    every header uses a PINCER_<PATH>_H_ include guard whose
                    name matches its path (src/ prefix stripped), so moves
                    and copies cannot silently collide.
@@ -89,6 +94,8 @@ RUN_PLUMBING = re.compile(
 )
 BASKET_READER_FILES = {"src/data/basket_reader.h", "src/data/basket_reader.cc"}
 BASKET_PARSE = re.compile(r"\bstd::(getline|istringstream)\b")
+SUBSET_SCAN_DIRS = ("src/itemset/", "src/core/", "src/testing/")
+SUBSET_SCAN = re.compile(r"(\.|->)\s*IsSubsetOf\s*\(")
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
 
@@ -272,6 +279,22 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        if (
+            is_cpp
+            and in_src
+            and not relpath.startswith(SUBSET_SCAN_DIRS)
+            and SUBSET_SCAN.search(code)
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "subset-scan",
+                    "cover and maximality checks go through Mfs / MaximalOf "
+                    "(src/core/mfs.h), not a hand-rolled IsSubsetOf scan",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -426,6 +449,28 @@ SELF_TEST_CASES = {
     "basket-parse-comment-ok": (
         "src/core/x.cc",
         "// rows never go through std::getline here\n",
+    ),
+    "subset-scan": (
+        "src/serve/x.cc",
+        "if (candidate.IsSubsetOf(max.itemset)) {\n",
+    ),
+    "subset-scan-pointer": (
+        "src/orchestrate/x.cc",
+        "if (a->IsSubsetOf(*b)) covered = true;\n",
+    ),
+    "subset-scan-core-ok": (
+        "src/core/x.cc",
+        "if (itemset.IsSubsetOf(element.itemset)) return true;\n",
+    ),
+    "subset-scan-itemset-ok": ("src/itemset/x.cc", "return a.IsSubsetOf(b);\n"),
+    "subset-scan-testing-ok": (
+        "src/testing/x.cc",
+        "if (fi.itemset.IsSubsetOf(other.itemset)) {\n",
+    ),
+    "subset-scan-tests-ok": ("tests/x.cc", "EXPECT_TRUE(a.IsSubsetOf(b));\n"),
+    "subset-scan-comment-ok": (
+        "src/serve/x.cc",
+        "// never a candidate.IsSubsetOf(max) scan here\n",
     ),
     "nondeterminism": ("src/core/x.cc", "int r = rand();\n"),
     "nondeterminism-gen-ok": ("src/gen/x.cc", "std::mt19937 rng;\n"),

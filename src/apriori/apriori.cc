@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "apriori/apriori_gen.h"
-#include "itemset/itemset_ops.h"
+#include "core/mfs.h"
 #include "mining/mining_run.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -13,15 +12,7 @@
 namespace pincer {
 
 std::vector<FrequentItemset> FrequentSetResult::MaximalItemsets() const {
-  std::unordered_map<Itemset, uint64_t, ItemsetHash> supports;
-  for (const FrequentItemset& fi : frequent) {
-    supports.emplace(fi.itemset, fi.support);
-  }
-  std::vector<FrequentItemset> maximal;
-  for (const Itemset& itemset : MaximalElements(ItemsetsOf(frequent))) {
-    maximal.push_back({itemset, supports.at(itemset)});
-  }
-  return maximal;
+  return MaximalOf(frequent);
 }
 
 namespace {

@@ -24,9 +24,9 @@ struct FrequentSetResult {
   std::vector<FrequentItemset> frequent;
   MiningStats stats;
 
-  /// The maximal frequent itemsets (the MFS) extracted from `frequent` —
-  /// what a bottom-up algorithm must post-process to obtain what
-  /// Pincer-Search produces directly.
+  /// The maximal frequent itemsets (the MFS) extracted from `frequent` by
+  /// MaximalOf — what a bottom-up algorithm must post-process to obtain
+  /// what Pincer-Search produces directly.
   std::vector<FrequentItemset> MaximalItemsets() const;
 };
 

@@ -2,29 +2,17 @@
 
 #include <bit>
 
-#include "util/contracts.h"
-
 namespace pincer {
 
 size_t AntichainIndex::Add(const Itemset& element) {
-  size_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = capacity_++;
-    if (live_.size() * kBitsPerWord < capacity_) {
-      live_.push_back(0);
-      for (std::vector<uint64_t>& row : rows_) row.push_back(0);
-    }
-    sizes_.push_back(0);
+  const size_t slot = size_++;
+  if (live_.size() * kBitsPerWord < size_) {
+    live_.push_back(0);
+    for (std::vector<uint64_t>& row : rows_) row.push_back(0);
   }
   const size_t word = slot / kBitsPerWord;
   const uint64_t mask = uint64_t{1} << (slot % kBitsPerWord);
-  PINCER_DCHECK(live_.size() > word && (live_[word] & mask) == 0, "slot ",
-                slot, " is already live");
   live_[word] |= mask;
-  sizes_[slot] = static_cast<uint32_t>(element.size());
   for (ItemId item : element) {
     if (static_cast<size_t>(item) >= rows_.size()) {
       rows_.resize(static_cast<size_t>(item) + 1,
@@ -32,27 +20,11 @@ size_t AntichainIndex::Add(const Itemset& element) {
     }
     rows_[item][word] |= mask;
   }
-  ++num_live_;
   return slot;
 }
 
-void AntichainIndex::Remove(size_t slot, const Itemset& element) {
-  const size_t word = slot / kBitsPerWord;
-  const uint64_t mask = uint64_t{1} << (slot % kBitsPerWord);
-  PINCER_DCHECK(slot < capacity_ && (live_[word] & mask) != 0,
-                "Remove of a slot that is not live: ", slot);
-  PINCER_DCHECK(element.size() == sizes_[slot],
-                "Remove called with a different element than was added");
-  live_[word] &= ~mask;
-  for (ItemId item : element) rows_[item][word] &= ~mask;
-  sizes_[slot] = 0;
-  free_.push_back(slot);
-  --num_live_;
-}
-
 void AntichainIndex::Clear() {
-  capacity_ = 0;
-  num_live_ = 0;
+  size_ = 0;
   live_.clear();
   // Keep the per-item rows (and their word storage) allocated: owners
   // rebuild the index from scratch after churn, and re-allocating one
@@ -60,13 +32,11 @@ void AntichainIndex::Clear() {
   // than the rebuild's actual bit-setting. clear() empties each row
   // without freeing, so the following Adds grow them allocation-free.
   for (std::vector<uint64_t>& row : rows_) row.clear();
-  sizes_.clear();
-  free_.clear();
 }
 
 bool AntichainIndex::IntersectRows(const Itemset& query, uint64_t* acc,
                                    size_t num_words) const {
-  if (num_live_ == 0) return false;
+  if (size_ == 0) return false;
   for (size_t w = 0; w < num_words; ++w) acc[w] = live_[w];
   for (ItemId item : query) {
     if (static_cast<size_t>(item) >= rows_.size()) return false;
@@ -107,51 +77,6 @@ std::vector<size_t> AntichainIndex::SupersetsOf(const Itemset& query) const {
       slots.push_back(w * kBitsPerWord +
                       static_cast<size_t>(std::countr_zero(bits)));
       bits &= bits - 1;
-    }
-  }
-  return slots;
-}
-
-void AntichainIndex::CountHits(const Itemset& query,
-                               std::vector<uint32_t>& hits) const {
-  hits.assign(capacity_, 0);
-  for (ItemId item : query) {
-    if (static_cast<size_t>(item) >= rows_.size()) continue;
-    const std::vector<uint64_t>& row = rows_[item];
-    for (size_t w = 0; w < row.size(); ++w) {
-      uint64_t bits = row[w] & live_[w];
-      while (bits != 0) {
-        ++hits[w * kBitsPerWord + static_cast<size_t>(std::countr_zero(bits))];
-        bits &= bits - 1;
-      }
-    }
-  }
-}
-
-bool AntichainIndex::ContainsSubsetOf(const Itemset& query) const {
-  if (num_live_ == 0) return false;
-  std::vector<uint32_t> hits;
-  CountHits(query, hits);
-  for (size_t slot = 0; slot < capacity_; ++slot) {
-    const uint64_t mask = uint64_t{1} << (slot % kBitsPerWord);
-    if ((live_[slot / kBitsPerWord] & mask) != 0 &&
-        hits[slot] == sizes_[slot]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<size_t> AntichainIndex::SubsetsOf(const Itemset& query) const {
-  std::vector<size_t> slots;
-  if (num_live_ == 0) return slots;
-  std::vector<uint32_t> hits;
-  CountHits(query, hits);
-  for (size_t slot = 0; slot < capacity_; ++slot) {
-    const uint64_t mask = uint64_t{1} << (slot % kBitsPerWord);
-    if ((live_[slot / kBitsPerWord] & mask) != 0 &&
-        hits[slot] == sizes_[slot]) {
-      slots.push_back(slot);
     }
   }
   return slots;

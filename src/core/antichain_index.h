@@ -1,16 +1,16 @@
 // A per-item inverted index over the elements of an antichain (the MFCS and
-// the MFS), answering the two directions of the subset partial order without
-// pairwise scans.
+// the MFS), answering superset queries without pairwise scans.
 //
-// Motivation: MFCS-gen (§3.2) and the MFS maximality check are dominated by
-// "does any element relate to this itemset by ⊆?" queries, and the naive
-// answer is a scan over all elements — O(|MFCS|·|S_k|) per update batch, the
-// serial bottleneck the thread-scaling benches expose. FastLMFI-style
-// progressive focusing (PAPERS.md, arXiv 0904.3310) replaces the scan with
-// per-item candidate bitmaps: one word-level bitmap per item over *element
-// slots*, so superset location is an AND of |query| rows and subset location
-// is a counting pass over the same rows. See docs/algorithm_internals.md for
-// the design discussion (inverted lists vs. bitmaps, and when each wins).
+// Motivation: MFCS-gen (§3.2) and the MFS coverage check are dominated by
+// "does any element contain this itemset?" queries, and the naive answer is
+// a scan over all elements — O(|MFCS|·|S_k|) per update batch, the serial
+// bottleneck the thread-scaling benches expose. FastLMFI-style progressive
+// focusing (PAPERS.md, arXiv 0904.3310) replaces the scan with per-item
+// candidate bitmaps: one word-level bitmap per item over *element slots*,
+// so superset location is an AND of |query| rows. Superset checking alone
+// is enough for maximality when elements arrive largest-first (MaximalOf in
+// core/mfs.h). See docs/algorithm_internals.md for the design discussion
+// (inverted lists vs. bitmaps, and when each wins).
 
 #ifndef PINCER_CORE_ANTICHAIN_INDEX_H_
 #define PINCER_CORE_ANTICHAIN_INDEX_H_
@@ -23,15 +23,13 @@
 
 namespace pincer {
 
-/// Inverted bitmap index over a dynamic collection of itemsets ("elements").
-/// Each element occupies one *slot*; per item id the index keeps a bitmap of
-/// the slots whose element contains that item. Slots of removed elements are
-/// recycled, so the bitmap width stays bounded by the peak element count.
+/// Inverted bitmap index over an append-only collection of itemsets
+/// ("elements"). The i-th element added since the last Clear occupies slot
+/// i; per item id the index keeps a bitmap of the slots whose element
+/// contains that item.
 ///
 /// The structure itself does not enforce the antichain property — it indexes
-/// whatever its owner adds — but its query mix (ContainsSupersetOf /
-/// ContainsSubsetOf / SupersetsOf / SubsetsOf) is exactly the one antichain
-/// maintenance needs, and Mfcs/Mfs keep the invariant on top of it.
+/// whatever its owner adds — and Mfcs/Mfs keep the invariant on top of it.
 ///
 /// Thread-safety: const queries are safe to run concurrently with each other
 /// (the parallel MFCS split step does exactly that); mutations require
@@ -40,42 +38,28 @@ class AntichainIndex {
  public:
   AntichainIndex() = default;
 
-  /// Indexes `element` and returns its slot. Recycles freed slots; the
-  /// empty itemset is allowed (it simply appears in no item row).
+  /// Indexes `element` and returns its slot (the number of elements added
+  /// before it). The empty itemset is allowed (it simply appears in no item
+  /// row).
   size_t Add(const Itemset& element);
 
-  /// Removes the element at `slot`. The caller supplies the element it added
-  /// (owners keep their elements anyway, which saves the index a second copy
-  /// of every itemset); the items are needed to clear the slot's bits from
-  /// the item rows so the slot can be recycled.
-  void Remove(size_t slot, const Itemset& element);
-
-  /// Drops every element and recycles all slots.
+  /// Drops every element; the next Add gets slot 0 again.
   void Clear();
 
-  /// Number of live elements.
-  size_t size() const { return num_live_; }
-  bool empty() const { return num_live_ == 0; }
+  /// Number of elements.
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  /// True if some live element m satisfies query ⊆ m (non-strict: an element
+  /// True if some element m satisfies query ⊆ m (non-strict: an element
   /// equal to `query` counts). Cost: |query| row-ANDs over the slot bitmap,
   /// with an early exit once the candidate set goes empty. Items outside
   /// every indexed element (including ids past the indexed universe) make the
   /// answer false immediately.
   bool ContainsSupersetOf(const Itemset& query) const;
 
-  /// True if some live element m satisfies m ⊆ query (non-strict). Cost: a
-  /// counting pass over the rows of `query`'s items (an element is a subset
-  /// exactly when all of its items are hit).
-  bool ContainsSubsetOf(const Itemset& query) const;
-
-  /// Slots of all live elements that are supersets of `query` (non-strict),
-  /// in ascending slot order.
-  std::vector<size_t> SupersetsOf(const Itemset& query) const;
-
-  /// Slots of all live elements that are subsets of `query` (non-strict), in
+  /// Slots of all elements that are supersets of `query` (non-strict), in
   /// ascending slot order.
-  std::vector<size_t> SubsetsOf(const Itemset& query) const;
+  std::vector<size_t> SupersetsOf(const Itemset& query) const;
 
   /// Number of 64-bit words per item row — the per-item unit cost of a
   /// superset query (|query| × this many word-ANDs). Exposed so owners can
@@ -83,7 +67,7 @@ class AntichainIndex {
   /// elements a pairwise bitset scan beats the row decomposition, and
   /// Mfcs::Update picks per batch (see docs/algorithm_internals.md §4).
   size_t num_slot_words() const {
-    return (capacity_ + kBitsPerWord - 1) / kBitsPerWord;
+    return (size_ + kBitsPerWord - 1) / kBitsPerWord;
   }
 
  private:
@@ -96,16 +80,9 @@ class AntichainIndex {
   bool IntersectRows(const Itemset& query, uint64_t* acc,
                      size_t num_words) const;
 
-  // Per-slot hit counting for the subset direction: fills `hits[slot]` with
-  // |element(slot) ∩ query| for every live slot reachable from query's rows.
-  void CountHits(const Itemset& query, std::vector<uint32_t>& hits) const;
-
-  size_t capacity_ = 0;  // slots ever allocated (live + free)
-  size_t num_live_ = 0;
-  std::vector<uint64_t> live_;            // bitmap over slots
+  size_t size_ = 0;
+  std::vector<uint64_t> live_;               // bitmap of occupied slots
   std::vector<std::vector<uint64_t>> rows_;  // rows_[item]: bitmap over slots
-  std::vector<uint32_t> sizes_;           // element size per slot
-  std::vector<size_t> free_;              // recycled slots
 };
 
 }  // namespace pincer

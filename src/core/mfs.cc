@@ -15,37 +15,9 @@ constexpr size_t kAntichainDcheckLimit = 64;
 }  // namespace
 
 bool Mfs::Add(const Itemset& itemset, uint64_t support) {
-  if (index_.ContainsSupersetOf(itemset)) return false;
-
-  // Evict existing elements subsumed by the newcomer. SubsetsOf returns
-  // slots in ascending slot order; compaction must run in ascending
-  // *position* order to stay order-preserving.
-  std::vector<size_t> evicted = index_.SubsetsOf(itemset);
-  if (!evicted.empty()) {
-    for (size_t& slot : evicted) slot = pos_of_slot_[slot];
-    std::sort(evicted.begin(), evicted.end());
-    size_t next = 0;
-    size_t write = evicted[0];
-    for (size_t j = write; j < elements_.size(); ++j) {
-      if (next < evicted.size() && evicted[next] == j) {
-        index_.Remove(slots_[j], elements_[j].itemset);
-        ++next;
-      } else {
-        elements_[write] = std::move(elements_[j]);
-        slots_[write] = slots_[j];
-        pos_of_slot_[slots_[write]] = write;
-        ++write;
-      }
-    }
-    elements_.resize(write);
-    slots_.resize(write);
-  }
-
+  if (CoveredBy(itemset)) return false;
   max_element_size_ = std::max(max_element_size_, itemset.size());
-  const size_t slot = index_.Add(itemset);
-  if (slot >= pos_of_slot_.size()) pos_of_slot_.resize(slot + 1, 0);
-  pos_of_slot_[slot] = elements_.size();
-  slots_.push_back(slot);
+  index_.Add(itemset);
   elements_.push_back({itemset, support});
   PINCER_DCHECK(elements_.size() > kAntichainDcheckLimit || IsAntichain(),
                 "MFS holds comparable elements after Add of ",
@@ -78,6 +50,18 @@ std::vector<FrequentItemset> Mfs::Sorted() const {
   std::vector<FrequentItemset> sorted = elements_;
   std::sort(sorted.begin(), sorted.end());
   return sorted;
+}
+
+std::vector<FrequentItemset> MaximalOf(std::vector<FrequentItemset> itemsets) {
+  // Largest first, every superset precedes its subsets: an itemset no kept
+  // element covers is maximal, and no kept element is a subset of it.
+  std::stable_sort(itemsets.begin(), itemsets.end(),
+                   [](const FrequentItemset& a, const FrequentItemset& b) {
+                     return a.itemset.size() > b.itemset.size();
+                   });
+  Mfs mfs;
+  for (const FrequentItemset& fi : itemsets) mfs.Add(fi.itemset, fi.support);
+  return mfs.Sorted();
 }
 
 }  // namespace pincer

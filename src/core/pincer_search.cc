@@ -579,6 +579,11 @@ void PincerDriver::EmitCheckpoint(size_t next_pass,
 }
 
 Status PincerDriver::Restore(const Checkpoint& checkpoint) {
+  // Mfs::Add appends without evicting, so the restored MFS must already be
+  // an antichain.
+  if (MaximalOf(checkpoint.mfs).size() != checkpoint.mfs.size()) {
+    return Status::InvalidArgument("checkpoint mfs is not an antichain");
+  }
   PINCER_RETURN_IF_ERROR(run_.Resume(checkpoint));
   maintain_mfcs_ = !stats_.mfcs_disabled;
   current_pass_ = static_cast<size_t>(checkpoint.next_pass);
@@ -667,15 +672,15 @@ MaximalSetResult PincerDriver::Run() {
     EmitCheckpoint(k, lk);
   }
 
-  // Final maximality merge: in the pure algorithm this is a no-op (the MFS
-  // is already complete — property-tested); after an adaptive switch-off it
-  // recovers maximal itemsets that only the bottom-up direction saw.
-  for (const FrequentItemset& fi : bottom_up_frequent_) {
-    if (!mfs_.CoveredBy(fi.itemset)) mfs_.Add(fi.itemset, fi.support);
-  }
+  // Final maximality merge: in the pure algorithm this adds nothing (the
+  // MFS is already complete — property-tested); after an adaptive
+  // switch-off it recovers maximal itemsets that only the bottom-up
+  // direction saw.
+  std::vector<FrequentItemset> merged = std::move(bottom_up_frequent_);
+  merged.insert(merged.end(), mfs_.elements().begin(), mfs_.elements().end());
 
   MaximalSetResult result;
-  result.mfs = mfs_.Sorted();
+  result.mfs = MaximalOf(std::move(merged));
   result.stats = run_.Finish();
   return result;
 }

@@ -72,9 +72,7 @@ double TransactionDatabase::Support(const Itemset& itemset) const {
 }
 
 uint64_t TransactionDatabase::MinSupportCount(double fraction) const {
-  const double scaled = fraction * static_cast<double>(transactions_.size());
-  auto count = static_cast<uint64_t>(std::ceil(scaled));
-  return std::max<uint64_t>(count, 1);
+  return pincer::MinSupportCount(fraction, transactions_.size());
 }
 
 uint64_t TransactionDatabase::TotalItemOccurrences() const {
@@ -83,6 +81,12 @@ uint64_t TransactionDatabase::TotalItemOccurrences() const {
     total += transaction.size();
   }
   return total;
+}
+
+uint64_t MinSupportCount(double fraction, uint64_t transactions) {
+  const double scaled = fraction * static_cast<double>(transactions);
+  const auto count = static_cast<uint64_t>(std::ceil(scaled));
+  return std::max<uint64_t>(count, 1);
 }
 
 }  // namespace pincer

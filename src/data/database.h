@@ -78,10 +78,8 @@ class TransactionDatabase {
   /// empty database.
   double Support(const Itemset& itemset) const;
 
-  /// Converts a fractional minimum support (e.g. 0.01 for 1%) to the
-  /// smallest absolute count an itemset must reach to be frequent:
-  /// ceil(fraction * |D|), clamped below by 1 so an empty itemset list never
-  /// counts everything as frequent at support 0.
+  /// The minimum support count over this database's rows:
+  /// MinSupportCount(fraction, size()).
   uint64_t MinSupportCount(double fraction) const;
 
   /// Total number of item occurrences across transactions.
@@ -94,6 +92,13 @@ class TransactionDatabase {
   // Lazily built; mutable because it is a cache over immutable data.
   mutable std::vector<DynamicBitset> bitsets_;
 };
+
+/// Converts a fractional minimum support (e.g. 0.01 for 1%) over
+/// `transactions` rows to the smallest absolute count an itemset must reach
+/// to be frequent: ceil(fraction * transactions), clamped below by 1 so an
+/// empty itemset list never counts everything as frequent at support 0. The
+/// one rule for every path, in-memory and streamed.
+uint64_t MinSupportCount(double fraction, uint64_t transactions);
 
 }  // namespace pincer
 

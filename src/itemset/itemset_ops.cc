@@ -20,38 +20,6 @@ Itemset Join(const Itemset& a, const Itemset& b) {
   return Itemset::FromSorted(std::move(merged));
 }
 
-std::vector<Itemset> MaximalElements(std::vector<Itemset> itemsets) {
-  // Sort by descending size so any superset precedes its subsets; then keep
-  // an element only if no already-kept element contains it.
-  std::sort(itemsets.begin(), itemsets.end(),
-            [](const Itemset& a, const Itemset& b) {
-              if (a.size() != b.size()) return a.size() > b.size();
-              return a < b;
-            });
-  std::vector<Itemset> maximal;
-  for (const Itemset& candidate : itemsets) {
-    if (!IsSubsetOfAny(candidate, maximal)) maximal.push_back(candidate);
-  }
-  SortLexicographically(maximal);
-  return maximal;
-}
-
-bool IsSubsetOfAny(const Itemset& candidate,
-                   const std::vector<Itemset>& collection) {
-  for (const Itemset& element : collection) {
-    if (candidate.IsSubsetOf(element)) return true;
-  }
-  return false;
-}
-
-bool ContainsSubsetOf(const Itemset& candidate,
-                      const std::vector<Itemset>& collection) {
-  for (const Itemset& element : collection) {
-    if (element.IsSubsetOf(candidate)) return true;
-  }
-  return false;
-}
-
 std::vector<Itemset> NonTrivialSubsets(const Itemset& itemset) {
   std::vector<Itemset> subsets;
   for (size_t k = 1; k < itemset.size(); ++k) {

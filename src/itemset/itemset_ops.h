@@ -1,6 +1,6 @@
 // Free functions on itemsets and itemset collections shared by the mining
-// algorithms: the (k-1)-prefix join primitive, maximality extraction, and
-// collection-level subset queries.
+// algorithms: the (k-1)-prefix join primitive, subset enumeration and
+// lexicographic sorting. Maximality extraction is MaximalOf (core/mfs.h).
 
 #ifndef PINCER_ITEMSET_ITEMSET_OPS_H_
 #define PINCER_ITEMSET_ITEMSET_OPS_H_
@@ -19,19 +19,6 @@ bool Joinable(const Itemset& a, const Itemset& b);
 /// Joins two joinable k-itemsets into their (k+1)-item union. Requires
 /// Joinable(a, b).
 Itemset Join(const Itemset& a, const Itemset& b);
-
-/// Returns the maximal elements of `itemsets`: those that are not a proper
-/// subset of any other element. Duplicates collapse to one occurrence.
-/// Output is sorted lexicographically.
-std::vector<Itemset> MaximalElements(std::vector<Itemset> itemsets);
-
-/// True if `candidate` is a subset of at least one element of `collection`.
-bool IsSubsetOfAny(const Itemset& candidate,
-                   const std::vector<Itemset>& collection);
-
-/// True if at least one element of `collection` is a subset of `candidate`.
-bool ContainsSubsetOf(const Itemset& candidate,
-                      const std::vector<Itemset>& collection);
 
 /// All non-empty proper subsets of `itemset` — the "2^l - 2 non-trivial
 /// frequent itemsets" of the paper's introduction. Intended for small sets;

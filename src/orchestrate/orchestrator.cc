@@ -3,8 +3,6 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -16,6 +14,7 @@
 #include "core/mfs.h"
 #include "counting/scan_budget.h"
 #include "counting/streaming_counter.h"
+#include "data/database.h"
 #include "mining/checkpoint.h"
 #include "orchestrate/shard_result.h"
 #include "orchestrate/sharder.h"
@@ -269,12 +268,6 @@ Status ExpandSubsets(const std::vector<ItemId>& items, size_t start,
     prefix.pop_back();
   }
   return Status::OK();
-}
-
-uint64_t GlobalMinCount(double min_support, uint64_t transactions) {
-  const double scaled = min_support * static_cast<double>(transactions);
-  const auto count = static_cast<uint64_t>(std::ceil(scaled));
-  return std::max<uint64_t>(count, 1);
 }
 
 }  // namespace
@@ -542,17 +535,19 @@ StatusOr<OrchestratorResult> OrchestrateMining(
     }
     transactions = counter.last_pass_transactions();
     const uint64_t min_count =
-        GlobalMinCount(options.min_support, transactions);
-    Mfs mfs;
+        MinSupportCount(options.min_support, transactions);
+    std::vector<FrequentItemset> frequent;
     for (size_t c = 0; c < candidates.size(); ++c) {
-      if ((*counts)[c] >= min_count) mfs.Add(candidates[c], (*counts)[c]);
+      if ((*counts)[c] >= min_count) {
+        frequent.push_back({candidates[c], (*counts)[c]});
+      }
     }
-    out.mfs = mfs.Sorted();
+    out.mfs = MaximalOf(std::move(frequent));
     out.min_count = min_count;
   } else {
     // No shard found anything frequent, so (partition lemma) nothing is
     // globally frequent: skip the scan, the answer is the empty MFS.
-    out.min_count = GlobalMinCount(options.min_support, transactions);
+    out.min_count = MinSupportCount(options.min_support, transactions);
   }
   stats.validation_transactions = transactions;
   stats.validate_ms = validate_timer.ElapsedMillis();

@@ -4,6 +4,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/mfs.h"
+
 namespace pincer {
 
 SupportIndex::SupportIndex(const Checkpoint& checkpoint,
@@ -47,8 +49,9 @@ std::optional<std::vector<FrequentItemset>> FilterMfsAtHigherMinCount(
   // strict supersets were either infrequent at the base threshold or are
   // larger candidates already found infrequent here) and is accepted
   // without expanding; an infrequent candidate sheds one item at a time.
-  // Processing strictly by descending size means the accepted list can be
-  // used as the cover set: only larger itemsets can cover a candidate.
+  // Processing strictly by descending size means the accepted sets can be
+  // used as the cover set: only larger itemsets can cover a candidate, so
+  // the append-only Mfs never holds a subset of a newcomer.
   size_t max_size = 0;
   for (const FrequentItemset& fi : base_mfs) {
     max_size = std::max(max_size, fi.itemset.size());
@@ -61,24 +64,17 @@ std::optional<std::vector<FrequentItemset>> FilterMfsAtHigherMinCount(
     }
   }
 
-  std::vector<FrequentItemset> accepted;
+  Mfs accepted;
   for (size_t k = max_size; k > 0; --k) {
     for (const Itemset& candidate : buckets[k]) {
-      bool covered = false;
-      for (const FrequentItemset& max : accepted) {
-        if (candidate.IsSubsetOf(max.itemset)) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) continue;
+      if (accepted.CoveredBy(candidate)) continue;
       const std::optional<uint64_t> support = supports.Lookup(candidate);
       // The originating run classified this set without counting it
       // individually (Pincer's frequent-MFCS shortcut): the filter cannot
       // decide, so the caller must mine.
       if (!support.has_value()) return std::nullopt;
       if (*support >= min_count) {
-        accepted.push_back({candidate, *support});
+        accepted.Add(candidate, *support);
         continue;
       }
       if (k == 1) continue;
@@ -89,8 +85,7 @@ std::optional<std::vector<FrequentItemset>> FilterMfsAtHigherMinCount(
       }
     }
   }
-  std::sort(accepted.begin(), accepted.end());
-  return accepted;
+  return accepted.Sorted();
 }
 
 ResultCache::ResultCache(size_t capacity)

@@ -14,6 +14,24 @@
 namespace pincer {
 namespace {
 
+// Naive references for the property test below: pairwise scans over the
+// "MFS so far".
+bool IsSubsetOfAny(const Itemset& candidate,
+                   const std::vector<Itemset>& collection) {
+  for (const Itemset& element : collection) {
+    if (candidate.IsSubsetOf(element)) return true;
+  }
+  return false;
+}
+
+bool ContainsSubsetOf(const Itemset& candidate,
+                      const std::vector<Itemset>& collection) {
+  for (const Itemset& element : collection) {
+    if (element.IsSubsetOf(candidate)) return true;
+  }
+  return false;
+}
+
 TEST(Recover, EmptyInputs) {
   EXPECT_TRUE(Recover({}, {Itemset{0, 1, 2}}).empty());
   EXPECT_TRUE(Recover({Itemset{0, 1}}, {}).empty());

@@ -431,6 +431,24 @@ TEST(CheckpointResume, RejectsStaleCheckpoints) {
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
   }
+  // An MFS that is not an antichain: Mfs::Add never evicts, so the resumed
+  // MFS would hold {0 1} next to {0 1 2}.
+  {
+    std::vector<Checkpoint> pincer_checkpoints;
+    MiningOptions pincer_recording = options;
+    pincer_recording.checkpoint_sink = [&](const Checkpoint& recorded) {
+      pincer_checkpoints.push_back(recorded);
+      return Status::OK();
+    };
+    MineMaximal(db, pincer_recording, Algorithm::kPincer);
+    ASSERT_FALSE(pincer_checkpoints.empty());
+    Checkpoint comparable = pincer_checkpoints.front();
+    comparable.mfs = {{Itemset{0, 1}, 30}, {Itemset{0, 1, 2}, 20}};
+    const StatusOr<MaximalSetResult> resumed =
+        ResumeMaximal(db, options, Algorithm::kPincer, comparable);
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(CheckpointResume, FailingSinkDoesNotFailTheRun) {

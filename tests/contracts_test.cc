@@ -100,7 +100,7 @@ TEST(ContractsTest, MfsAntichainHelper) {
   EXPECT_TRUE(mfs.IsAntichain());
   mfs.Add(Itemset{0, 1}, 3);
   mfs.Add(Itemset{1, 2}, 2);
-  EXPECT_TRUE(mfs.IsAntichain());  // Add maintains the invariant
+  EXPECT_TRUE(mfs.IsAntichain());  // incomparable elements
 }
 
 }  // namespace

@@ -21,39 +21,6 @@ TEST(Join, UnionsJoinablePair) {
   EXPECT_EQ(Join(Itemset{4}, Itemset{7}), (Itemset{4, 7}));
 }
 
-TEST(MaximalElements, FiltersSubsetsAndDuplicates) {
-  const std::vector<Itemset> input = {Itemset{1, 2}, Itemset{1, 2, 3},
-                                      Itemset{2, 3}, Itemset{1, 2, 3},
-                                      Itemset{4}};
-  const std::vector<Itemset> expected = {Itemset{1, 2, 3}, Itemset{4}};
-  EXPECT_EQ(MaximalElements(input), expected);
-}
-
-TEST(MaximalElements, EmptyInput) {
-  EXPECT_TRUE(MaximalElements({}).empty());
-}
-
-TEST(MaximalElements, AllIncomparableKeepsEverything) {
-  const std::vector<Itemset> input = {Itemset{1, 2}, Itemset{3, 4},
-                                      Itemset{5}};
-  EXPECT_EQ(MaximalElements(input).size(), 3u);
-}
-
-TEST(IsSubsetOfAny, Basics) {
-  const std::vector<Itemset> collection = {Itemset{1, 2, 3}, Itemset{4, 5}};
-  EXPECT_TRUE(IsSubsetOfAny(Itemset{2, 3}, collection));
-  EXPECT_TRUE(IsSubsetOfAny(Itemset{4, 5}, collection));
-  EXPECT_FALSE(IsSubsetOfAny(Itemset{3, 4}, collection));
-  EXPECT_FALSE(IsSubsetOfAny(Itemset{1}, {}));
-}
-
-TEST(ContainsSubsetOf, Basics) {
-  const std::vector<Itemset> collection = {Itemset{1, 2}, Itemset{5}};
-  EXPECT_TRUE(ContainsSubsetOf(Itemset{1, 2, 3}, collection));
-  EXPECT_TRUE(ContainsSubsetOf(Itemset{5, 6}, collection));
-  EXPECT_FALSE(ContainsSubsetOf(Itemset{2, 3}, collection));
-}
-
 TEST(NonTrivialSubsets, CountIsTwoToTheLMinusTwo) {
   // The paper's 2^l - 2 claim (§1).
   const Itemset itemset{1, 2, 3, 4};

@@ -3,7 +3,9 @@
 //
 //   ./mine_cli <database.basket> [options]
 //     --min-support=0.01         fraction of |D| (default 0.01)
-//     --algorithm=pincer         apriori | pincer | pincer-adaptive
+//     --algorithm=pincer-adaptive
+//                                apriori | apriori-combined | pincer |
+//                                pincer-adaptive
 //     --backend=trie             trie | hash_tree | linear | vertical |
 //                                auto (auto picks trie or vertical per
 //                                pass from a deterministic cost model; the
@@ -54,7 +56,8 @@ namespace {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <database.basket> [--min-support=F] "
-               "[--algorithm=apriori|pincer|pincer-adaptive] "
+               "[--algorithm=apriori|apriori-combined|pincer|"
+               "pincer-adaptive] "
                "[--backend=trie|hash_tree|linear|vertical|auto] "
                "[--threads=N] "
                "[--rules=MIN_CONFIDENCE] [--stats] [--stats-json=FILE] "
@@ -193,11 +196,10 @@ int main(int argc, char** argv) {
       std::cerr << "error fingerprinting " << path << ": " << status << "\n";
       return 1;
     }
-    options.checkpoint_sink = [&](const Checkpoint& checkpoint) {
-      Checkpoint stamped = checkpoint;
-      stamped.database.path = file_fingerprint.path;
-      stamped.database.file_bytes = file_fingerprint.file_bytes;
-      return WriteCheckpointToFile(stamped, checkpoint_path);
+    options.checkpoint_sink = [&](Checkpoint checkpoint) {
+      checkpoint.database.path = file_fingerprint.path;
+      checkpoint.database.file_bytes = file_fingerprint.file_bytes;
+      return WriteCheckpointToFile(checkpoint, checkpoint_path);
     };
   }
 
@@ -210,13 +212,11 @@ int main(int argc, char** argv) {
                 << checkpoint.status() << "\n";
       return 1;
     }
-    if (!checkpoint->database.path.empty() &&
-        (checkpoint->database.path != file_fingerprint.path ||
-         checkpoint->database.file_bytes != file_fingerprint.file_bytes)) {
-      std::cerr << "error: checkpoint " << checkpoint_path << " was written "
-                << "for " << checkpoint->database.path << " ("
-                << checkpoint->database.file_bytes << " bytes), not " << path
-                << " (" << file_fingerprint.file_bytes << " bytes)\n";
+    if (const Status same_file =
+            CheckCheckpointFile(*checkpoint, file_fingerprint);
+        !same_file.ok()) {
+      std::cerr << "error resuming from " << checkpoint_path << ": "
+                << same_file << "\n";
       return 1;
     }
     StatusOr<MaximalSetResult> resumed =

@@ -8,7 +8,9 @@
 //     --shards=N                 shard count (default 2)
 //     --workers=N                concurrent worker slots (default 2)
 //     --min-support=F            fraction of |D| (default 0.01)
-//     --algorithm=pincer         apriori | pincer | pincer-adaptive
+//     --algorithm=pincer-adaptive
+//                                apriori | apriori-combined | pincer |
+//                                pincer-adaptive
 //     --worker-threads=N         counting threads per worker (default 1)
 //     --resume                   reuse DIR from a previous run: keep valid
 //                                shard results, restart the rest from their
@@ -57,7 +59,9 @@ namespace {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <database.basket> --work-dir=DIR [--shards=N] [--workers=N] "
-               "[--min-support=F] [--algorithm=A] [--worker-threads=N] "
+               "[--min-support=F] "
+               "[--algorithm=apriori|apriori-combined|pincer|"
+               "pincer-adaptive] [--worker-threads=N] "
                "[--resume] [--malformed=strict|skip] [--max-attempts=N] "
                "[--attempt-deadline-ms=F] [--term-grace-ms=F] "
                "[--backoff-ms=F] [--max-backoff-ms=F] [--budget-ms=F] "

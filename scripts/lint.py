@@ -44,6 +44,10 @@ Enforces project rules that clang-tidy cannot express (CI job
                    cover through Mfs / MaximalOf (src/core/mfs.h), so
                    maximality is computed by one routine and no caller
                    grows its own hand-rolled cover scan.
+  checkpoint-sink  `checkpoint_sink` under src/ only in src/mining/ and
+                   src/orchestrate/worker.cc, the resume writers. A run's
+                   supports come back as MaximalSetResult::supports, so the
+                   per-pass snapshot never becomes a result channel again.
   include-guard    every header uses a PINCER_<PATH>_H_ include guard whose
                    name matches its path (src/ prefix stripped), so moves
                    and copies cannot silently collide.
@@ -96,6 +100,8 @@ BASKET_READER_FILES = {"src/data/basket_reader.h", "src/data/basket_reader.cc"}
 BASKET_PARSE = re.compile(r"\bstd::(getline|istringstream)\b")
 SUBSET_SCAN_DIRS = ("src/itemset/", "src/core/", "src/testing/")
 SUBSET_SCAN = re.compile(r"(\.|->)\s*IsSubsetOf\s*\(")
+CHECKPOINT_SINK_FILES = ("src/mining/", "src/orchestrate/worker.cc")
+CHECKPOINT_SINK = re.compile(r"\bcheckpoint_sink\b")
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
 
@@ -295,6 +301,23 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        if (
+            is_cpp
+            and in_src
+            and not relpath.startswith(CHECKPOINT_SINK_FILES)
+            and CHECKPOINT_SINK.search(code)
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "checkpoint-sink",
+                    "checkpoints are for resuming; take a run's supports "
+                    "from MaximalSetResult::supports, not from a "
+                    "checkpoint_sink",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -471,6 +494,34 @@ SELF_TEST_CASES = {
     "subset-scan-comment-ok": (
         "src/serve/x.cc",
         "// never a candidate.IsSubsetOf(max) scan here\n",
+    ),
+    "checkpoint-sink": (
+        "src/serve/x.cc",
+        "options.checkpoint_sink = [&](Checkpoint checkpoint) {\n",
+    ),
+    "checkpoint-sink-orchestrator": (
+        "src/orchestrate/orchestrator.cc",
+        "options.checkpoint_sink = nullptr;\n",
+    ),
+    "checkpoint-sink-mining-ok": (
+        "src/mining/x.cc",
+        "if (!options_.checkpoint_sink) return;\n",
+    ),
+    "checkpoint-sink-worker-ok": (
+        "src/orchestrate/worker.cc",
+        "options.checkpoint_sink = [&](Checkpoint checkpoint) {\n",
+    ),
+    "checkpoint-sink-examples-ok": (
+        "examples/x.cc",
+        "options.checkpoint_sink = [&](Checkpoint checkpoint) {\n",
+    ),
+    "checkpoint-sink-tests-ok": (
+        "tests/x.cc",
+        "recording.checkpoint_sink = [&](const Checkpoint& c) {\n",
+    ),
+    "checkpoint-sink-comment-ok": (
+        "src/serve/x.cc",
+        "// no checkpoint_sink capture here\n",
     ),
     "nondeterminism": ("src/core/x.cc", "int r = rand();\n"),
     "nondeterminism-gen-ok": ("src/gen/x.cc", "std::mt19937 rng;\n"),

@@ -37,7 +37,7 @@ FrequentSetResult AprioriMine(const TransactionDatabase& db,
                               const MiningOptions& options);
 
 /// Resumes an Apriori run from a pass-level checkpoint (written by a
-/// previous run's options.checkpoint_sink). The resumed run's frequent set
+/// previous run's checkpoint sink). The resumed run's frequent set
 /// and cumulative structural stats are bit-identical to the uninterrupted
 /// run's (property-tested). Rejects a checkpoint whose algorithm, options
 /// fingerprint, or database shape does not match with InvalidArgument.

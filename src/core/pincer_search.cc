@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "apriori/apriori_gen.h"
 #include "core/candidate_gen.h"
@@ -48,8 +47,6 @@ class PincerDriver {
   Status Restore(const Checkpoint& checkpoint);
 
  private:
-  using SupportCache = std::unordered_map<Itemset, uint64_t, ItemsetHash>;
-
   // Pass 1: counts all 1-itemsets (array fast path or generic backend) plus
   // the initial MFCS element. Produces L_1.
   std::vector<Itemset> PassOne();
@@ -124,15 +121,6 @@ class PincerDriver {
            stats_.mfcs_disabled_at_pass == pass_number;
   }
 
-  // Records a counted itemset in the cache and, if frequent, in the
-  // bottom-up frequent log.
-  void RecordCount(const Itemset& itemset, uint64_t count, bool covered);
-
-  // Returns the known support of `itemset`, consulting the pass-1 array,
-  // the pass-2 triangular matrix, and the explicit cache. nullopt if the
-  // itemset was never counted.
-  std::optional<uint64_t> LookupSupport(const Itemset& itemset) const;
-
   bool IsFrequentCount(uint64_t count) const { return count >= min_count_; }
 
   // Hands the sink a snapshot for resuming at `next_pass` with live
@@ -153,12 +141,9 @@ class PincerDriver {
   // Pass currently being processed (for DisableMfcs attribution from the
   // cache-resolution path).
   size_t current_pass_ = 1;
-  // Known supports. Sizes 1 and 2 live in the pass-1 array and the pass-2
-  // triangular matrix (cheap, no per-itemset allocation); everything else in
-  // the hash cache. LookupSupport() consults all three.
-  SupportCache cache_;
-  std::vector<uint64_t> singleton_counts_;
-  std::optional<PairCountMatrix> pair_matrix_;
+  // Every support counted so far; the result's `supports` when the run
+  // ends.
+  SupportTable supports_;
   // Frequent itemsets discovered bottom-up (not covered by the MFS at the
   // time of discovery). Used for the final maximality merge, which is what
   // makes the adaptive variant correct after MFCS maintenance stops.
@@ -169,30 +154,6 @@ class PincerDriver {
   std::vector<Itemset> resume_live_candidates_;
 };
 
-void PincerDriver::RecordCount(const Itemset& itemset, uint64_t count,
-                               bool covered) {
-  cache_.emplace(itemset, count);
-  if (!covered && IsFrequentCount(count)) {
-    bottom_up_frequent_.push_back({itemset, count});
-  }
-}
-
-std::optional<uint64_t> PincerDriver::LookupSupport(
-    const Itemset& itemset) const {
-  if (itemset.size() == 1 && itemset[0] < singleton_counts_.size()) {
-    return singleton_counts_[itemset[0]];
-  }
-  if (itemset.size() == 2 && pair_matrix_.has_value()) {
-    if (std::optional<uint64_t> count =
-            pair_matrix_->TryPairCount(itemset[0], itemset[1])) {
-      return count;
-    }
-  }
-  auto it = cache_.find(itemset);
-  if (it != cache_.end()) return it->second;
-  return std::nullopt;
-}
-
 void PincerDriver::ResolveMfcsFromCache() {
   bool changed = true;
   while (changed) {
@@ -200,7 +161,7 @@ void PincerDriver::ResolveMfcsFromCache() {
     std::vector<std::pair<Itemset, uint64_t>> known_frequent;
     std::vector<Itemset> known_infrequent;
     for (const Itemset& element : mfcs_.elements()) {
-      const std::optional<uint64_t> count = LookupSupport(element);
+      const std::optional<uint64_t> count = supports_.Lookup(element);
       if (!count.has_value()) continue;
       if (IsFrequentCount(*count)) {
         known_frequent.emplace_back(element, *count);
@@ -294,7 +255,7 @@ void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
 
   std::vector<Itemset> infrequent;
   for (size_t i = 0; i < elements.size(); ++i) {
-    cache_.emplace(elements[i], (*counts)[i]);
+    supports_.Record(elements[i], (*counts)[i]);
     if (IsFrequentCount((*counts)[i])) {
       mfcs_.Remove(elements[i]);
       if (mfs_.Add(elements[i], (*counts)[i])) ++pass.num_mfs_found;
@@ -318,19 +279,19 @@ std::vector<Itemset> PincerDriver::PassOne() {
   std::optional<std::vector<uint64_t>> counts =
       run_.CountItems(pass, options_.use_array_fast_path);
   if (!counts.has_value()) return {};
-  singleton_counts_ = std::move(*counts);
 
   std::vector<Itemset> infrequent;
   std::vector<Itemset> frequent;
   for (ItemId item = 0; item < db_.num_items(); ++item) {
     const Itemset single{item};
-    if (IsFrequentCount(singleton_counts_[item])) {
+    if (IsFrequentCount((*counts)[item])) {
       frequent.push_back(single);
-      bottom_up_frequent_.push_back({single, singleton_counts_[item]});
+      bottom_up_frequent_.push_back({single, (*counts)[item]});
     } else {
       infrequent.push_back(single);
     }
   }
+  supports_.SetSingletonCounts(std::move(*counts));
   pass.num_frequent = frequent.size();
   const size_t num_frequent_items = frequent.size();
 
@@ -382,9 +343,7 @@ std::vector<Itemset> PincerDriver::PassTwo(
     // After an adaptive switch-off the loop is plain Apriori: covered pairs
     // are ordinary frequent itemsets again.
     const bool covered = maintain_mfcs_ && mfs_.CoveredBy(pair);
-    if (cache_count) {
-      cache_.emplace(pair, count);
-    }
+    if (cache_count) supports_.Record(pair, count);
     if (covered) return;
     if (IsFrequentCount(count)) {
       bottom_up_frequent_.push_back({pair, count});
@@ -397,43 +356,33 @@ std::vector<Itemset> PincerDriver::PassTwo(
     }
   };
 
-  // Apply the §3.5 batch pre-check before materializing a potentially huge
-  // infrequent-pair list (an allocation per pair).
-  auto precheck_batch = [&](size_t num_frequent_pairs,
-                            size_t num_infrequent_pairs) {
+  // Apply the §3.5 batch pre-check to the raw counts of every pair, so a
+  // huge infrequent batch disables MFCS maintenance *before* classify_pair
+  // materializes one Itemset per infrequent pair.
+  auto precheck_batch = [&](const std::vector<uint64_t>& pair_counts) {
+    const size_t num_frequent_pairs = static_cast<size_t>(std::count_if(
+        pair_counts.begin(), pair_counts.end(),
+        [this](uint64_t count) { return IsFrequentCount(count); }));
     if (maintain_mfcs_ &&
-        ShouldDisableForBatch(num_infrequent_pairs, num_frequent_pairs)) {
+        ShouldDisableForBatch(pair_counts.size() - num_frequent_pairs,
+                              num_frequent_pairs)) {
       DisableMfcs(2);
     }
   };
 
   if (options_.use_array_fast_path && frequent_items.size() >= 2) {
-    pair_matrix_.emplace(frequent_items);
-    if (!run_.CountPairs(*pair_matrix_, pass)) return {};
-    {
-      size_t num_frequent_pairs = 0;
-      size_t num_infrequent_pairs = 0;
-      for (size_t i = 0; i < frequent_items.size(); ++i) {
-        for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-          if (IsFrequentCount(pair_matrix_->PairCount(frequent_items[i],
-                                                      frequent_items[j]))) {
-            ++num_frequent_pairs;
-          } else {
-            ++num_infrequent_pairs;
-          }
-        }
-      }
-      precheck_batch(num_frequent_pairs, num_infrequent_pairs);
-    }
+    PairCountMatrix matrix(frequent_items);
+    if (!run_.CountPairs(matrix, pass)) return {};
+    precheck_batch(matrix.raw_counts());
     for (size_t i = 0; i < frequent_items.size(); ++i) {
       for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-        // Counts of size-2 itemsets stay in the matrix; no cache entry.
+        // Counts of size-2 itemsets stay in the matrix; no map entry.
         classify_pair(frequent_items[i], frequent_items[j],
-                      pair_matrix_->PairCount(frequent_items[i],
-                                              frequent_items[j]),
+                      matrix.PairCount(frequent_items[i], frequent_items[j]),
                       /*cache_count=*/false);
       }
     }
+    supports_.SetPairCounts(std::move(matrix));
   } else if (frequent_items.size() >= 2) {
     std::vector<Itemset> pairs;
     for (size_t i = 0; i < frequent_items.size(); ++i) {
@@ -444,21 +393,7 @@ std::vector<Itemset> PincerDriver::PassTwo(
     const std::optional<std::vector<uint64_t>> counts =
         run_.Count(pairs, pass);
     if (!counts.has_value()) return {};
-    // Same §3.5 pre-check as the array path: classify the raw counts first
-    // so a huge infrequent batch disables MFCS maintenance *before*
-    // classify_pair materializes one Itemset per infrequent pair.
-    {
-      size_t num_frequent_pairs = 0;
-      size_t num_infrequent_pairs = 0;
-      for (uint64_t count : *counts) {
-        if (IsFrequentCount(count)) {
-          ++num_frequent_pairs;
-        } else {
-          ++num_infrequent_pairs;
-        }
-      }
-      precheck_batch(num_frequent_pairs, num_infrequent_pairs);
-    }
+    precheck_batch(*counts);
     for (size_t i = 0; i < pairs.size(); ++i) {
       classify_pair(pairs[i][0], pairs[i][1], (*counts)[i],
                     /*cache_count=*/true);
@@ -516,8 +451,9 @@ std::vector<Itemset> PincerDriver::PassK(size_t k,
         run_.Count(candidates, pass);
     if (!counts.has_value()) return {};
     for (size_t i = 0; i < candidates.size(); ++i) {
-      RecordCount(candidates[i], (*counts)[i], /*covered=*/false);
+      supports_.Record(candidates[i], (*counts)[i]);
       if (IsFrequentCount((*counts)[i])) {
+        bottom_up_frequent_.push_back({candidates[i], (*counts)[i]});
         lk.push_back(candidates[i]);
         ++pass.num_frequent;
       } else {
@@ -563,18 +499,7 @@ void PincerDriver::EmitCheckpoint(size_t next_pass,
     checkpoint.live_candidates = lk;
     checkpoint.mfs = mfs_.elements();
     checkpoint.mfcs = mfcs_.elements();
-    checkpoint.support_cache.reserve(cache_.size());
-    for (const auto& [itemset, count] : cache_) {
-      checkpoint.support_cache.push_back({itemset, count});
-    }
-    // The cache is an unordered map; sort for deterministic serialization.
-    std::sort(checkpoint.support_cache.begin(),
-              checkpoint.support_cache.end());
-    checkpoint.singleton_counts = singleton_counts_;
-    if (pair_matrix_.has_value()) {
-      checkpoint.pair_items = pair_matrix_->frequent_items();
-      checkpoint.pair_counts = pair_matrix_->raw_counts();
-    }
+    supports_.WriteCheckpoint(checkpoint);
   });
 }
 
@@ -595,19 +520,9 @@ Status PincerDriver::Restore(const Checkpoint& checkpoint) {
   // resumed run's MFCS-gen behaviour identical to the uninterrupted run's.
   mfcs_ = Mfcs(db_.num_items(), checkpoint.mfcs);
   mfcs_.set_thread_pool(run_.pool());
-  for (const FrequentItemset& fi : checkpoint.support_cache) {
-    cache_.emplace(fi.itemset, fi.support);
-  }
-  singleton_counts_ = checkpoint.singleton_counts;
-  if (!checkpoint.pair_items.empty()) {
-    pair_matrix_.emplace(checkpoint.pair_items);
-    if (!pair_matrix_->RestoreCounts(checkpoint.pair_counts)) {
-      return Status::InvalidArgument(
-          "checkpoint pair_counts does not match pair_items (expected " +
-          std::to_string(pair_matrix_->raw_counts().size()) + " counts, got " +
-          std::to_string(checkpoint.pair_counts.size()) + ")");
-    }
-  }
+  StatusOr<SupportTable> supports = SupportTable::FromCheckpoint(checkpoint);
+  if (!supports.ok()) return supports.status();
+  supports_ = std::move(*supports);
   resume_next_pass_ = static_cast<size_t>(checkpoint.next_pass);
   resume_live_candidates_ = checkpoint.live_candidates;
   return Status::OK();
@@ -682,6 +597,7 @@ MaximalSetResult PincerDriver::Run() {
   MaximalSetResult result;
   result.mfs = MaximalOf(std::move(merged));
   result.stats = run_.Finish();
+  result.supports = std::move(supports_);
   return result;
 }
 

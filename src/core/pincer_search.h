@@ -15,6 +15,7 @@
 #include "mining/frequent_itemset.h"
 #include "mining/mining_stats.h"
 #include "mining/options.h"
+#include "mining/support_table.h"
 #include "util/statusor.h"
 
 namespace pincer {
@@ -26,6 +27,11 @@ struct MaximalSetResult {
   /// subset of one of these.
   std::vector<FrequentItemset> mfs;
   MiningStats stats;
+  /// Supports the run counted: the whole frequent set for the Apriori
+  /// drivers; for Pincer-Search, every itemset it counted, frequent or
+  /// not. Holds the support of every `mfs` element. Only completed scans
+  /// add to it, so an aborted run's table is exact but partial.
+  SupportTable supports;
 
   /// True if `itemset` is frequent according to this result (i.e., covered
   /// by some MFS element).
@@ -40,7 +46,7 @@ MaximalSetResult PincerSearch(const TransactionDatabase& db,
                               const MiningOptions& options);
 
 /// Resumes a Pincer-Search run from a pass-level checkpoint (written by a
-/// previous run's options.checkpoint_sink). The resumed run's MFS, supports,
+/// previous run's checkpoint sink). The resumed run's MFS, supports,
 /// and cumulative structural stats are bit-identical to the uninterrupted
 /// run's (property-tested). Rejects a checkpoint whose algorithm, options
 /// fingerprint, or database shape does not match with InvalidArgument. Both

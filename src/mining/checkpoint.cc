@@ -481,6 +481,19 @@ Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
   return Status::OK();
 }
 
+Status CheckCheckpointFile(const Checkpoint& checkpoint,
+                           const DatabaseFingerprint& file) {
+  const DatabaseFingerprint& stamp = checkpoint.database;
+  if (stamp.path.empty() ||
+      (stamp.path == file.path && stamp.file_bytes == file.file_bytes)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "checkpoint was written for " + stamp.path + " (" +
+      std::to_string(stamp.file_bytes) + " bytes), not " + file.path + " (" +
+      std::to_string(file.file_bytes) + " bytes)");
+}
+
 Status FillFileFingerprint(const std::string& path,
                            DatabaseFingerprint& fingerprint) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);

@@ -79,15 +79,12 @@ struct Checkpoint {
   std::vector<FrequentItemset> mfs;
   /// Pincer only: unclassified MFCS elements, in internal order.
   std::vector<Itemset> mfcs;
-  /// Pincer only: every cached support (frequent and infrequent) of size
-  /// >= 3, sorted by itemset for deterministic serialization.
+  /// Pincer only: the sections of the run's SupportTable, which writes and
+  /// reads them (mining/support_table.h): the hash tier sorted by itemset,
+  /// the pass-1 item counts, and the pass-2 matrix's items and packed
+  /// counts (empty before pass 2 or off the array fast path).
   std::vector<FrequentItemset> support_cache;
-  /// Pincer only: the pass-1 singleton-count array (empty if pass 1 has
-  /// not completed or the generic path cached them elsewhere).
   std::vector<uint64_t> singleton_counts;
-  /// Pincer only: the pass-2 triangular pair-count matrix — the frequent
-  /// items it is built over and its packed counts (empty before pass 2 or
-  /// when the generic path was used).
   std::vector<ItemId> pair_items;
   std::vector<uint64_t> pair_counts;
 
@@ -121,6 +118,12 @@ Status WriteCheckpointToFile(const Checkpoint& checkpoint,
 /// `path`. IoError if unreadable.
 Status FillFileFingerprint(const std::string& path,
                            DatabaseFingerprint& fingerprint);
+
+/// The file-identity gate of the writers that stamp checkpoints with their
+/// database file (mine_cli, the shard worker): InvalidArgument ("checkpoint
+/// was written for ...") unless the stamp is empty or matches `file`.
+Status CheckCheckpointFile(const Checkpoint& checkpoint,
+                           const DatabaseFingerprint& file);
 
 class TransactionDatabase;
 

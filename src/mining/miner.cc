@@ -70,25 +70,32 @@ size_t CheckpointCombineThreshold(Algorithm algorithm) {
              : 0;
 }
 
+namespace {
+
+// An Apriori driver's result with its frequent set as the supports. The
+// combined variant's precounts outside the frequent set are infrequent:
+// they failed the threshold or have an infrequent subset.
+MaximalSetResult FromFrequentSet(FrequentSetResult full) {
+  MaximalSetResult result;
+  result.mfs = full.MaximalItemsets();
+  result.stats = std::move(full.stats);
+  for (FrequentItemset& fi : full.frequent) {
+    result.supports.Record(std::move(fi.itemset), fi.support);
+  }
+  return result;
+}
+
+}  // namespace
+
 MaximalSetResult MineMaximal(const TransactionDatabase& db,
                              const MiningOptions& options,
                              Algorithm algorithm) {
   const MiningOptions effective = EffectiveMiningOptions(options, algorithm);
   switch (algorithm) {
-    case Algorithm::kApriori: {
-      const FrequentSetResult full = AprioriMine(db, effective);
-      MaximalSetResult result;
-      result.mfs = full.MaximalItemsets();
-      result.stats = full.stats;
-      return result;
-    }
-    case Algorithm::kAprioriCombined: {
-      const FrequentSetResult full = AprioriCombinedMine(db, effective);
-      MaximalSetResult result;
-      result.mfs = full.MaximalItemsets();
-      result.stats = full.stats;
-      return result;
-    }
+    case Algorithm::kApriori:
+      return FromFrequentSet(AprioriMine(db, effective));
+    case Algorithm::kAprioriCombined:
+      return FromFrequentSet(AprioriCombinedMine(db, effective));
     case Algorithm::kPincer:
     case Algorithm::kPincerAdaptive:
       return PincerSearch(db, effective);
@@ -106,19 +113,13 @@ StatusOr<MaximalSetResult> ResumeMaximal(const TransactionDatabase& db,
       StatusOr<FrequentSetResult> full =
           AprioriResume(db, effective, checkpoint);
       if (!full.ok()) return full.status();
-      MaximalSetResult result;
-      result.mfs = full->MaximalItemsets();
-      result.stats = full->stats;
-      return result;
+      return FromFrequentSet(std::move(*full));
     }
     case Algorithm::kAprioriCombined: {
       StatusOr<FrequentSetResult> full =
           AprioriCombinedResume(db, effective, checkpoint);
       if (!full.ok()) return full.status();
-      MaximalSetResult result;
-      result.mfs = full->MaximalItemsets();
-      result.stats = full->stats;
-      return result;
+      return FromFrequentSet(std::move(*full));
     }
     case Algorithm::kPincer:
     case Algorithm::kPincerAdaptive:

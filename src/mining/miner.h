@@ -34,8 +34,8 @@ enum class Algorithm {
 
 std::string_view AlgorithmName(Algorithm algorithm);
 
-/// Parses "apriori" / "pincer" / "pincer-adaptive"; returns InvalidArgument
-/// otherwise.
+/// Parses "apriori" / "apriori-combined" / "pincer" / "pincer-adaptive";
+/// returns InvalidArgument otherwise.
 StatusOr<Algorithm> ParseAlgorithm(std::string_view name);
 
 /// Default MFCS cap applied by kPincerAdaptive when

@@ -162,8 +162,8 @@ Checkpoint MiningRun::CheckpointHeader(size_t next_pass) const {
   return checkpoint;
 }
 
-void MiningRun::Deliver(const Checkpoint& checkpoint) {
-  const Status status = options_.checkpoint_sink(checkpoint);
+void MiningRun::Deliver(Checkpoint checkpoint) {
+  const Status status = options_.checkpoint_sink(std::move(checkpoint));
   if (!status.ok() && !sink_error_logged_) {
     sink_error_logged_ = true;
     PINCER_LOG(kWarning) << "checkpoint sink failed (mining continues, "

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "counting/array_counters.h"
@@ -117,14 +118,14 @@ class MiningRun {
   /// Hands options.checkpoint_sink a snapshot for resuming at `next_pass`:
   /// the header (driver id, options fingerprint, database shape, stats and
   /// elapsed time) plus whatever `fill(checkpoint)` adds of the driver's
-  /// state. No-op without a sink. Checkpointing is best-effort: a failing
-  /// sink is logged once per run and mining goes on.
+  /// state, moved into the sink. No-op without a sink. Checkpointing is
+  /// best-effort: a failing sink is logged once per run and mining goes on.
   template <typename Fill>
   void EmitCheckpoint(size_t next_pass, Fill&& fill) {
     if (!options_.checkpoint_sink) return;
     Checkpoint checkpoint = CheckpointHeader(next_pass);
     fill(checkpoint);
-    Deliver(checkpoint);
+    Deliver(std::move(checkpoint));
   }
 
   /// Stamps the elapsed time and the budget latch into the stats and hands
@@ -141,7 +142,7 @@ class MiningRun {
   }
   std::string Fingerprint() const;
   Checkpoint CheckpointHeader(size_t next_pass) const;
-  void Deliver(const Checkpoint& checkpoint);
+  void Deliver(Checkpoint checkpoint);
 
   const TransactionDatabase& db_;
   const MiningOptions& options_;

@@ -105,11 +105,12 @@ struct MiningOptions {
 
   /// Pass-level checkpoint sink: when set, every miner invokes it after
   /// each completed pass with a Checkpoint snapshot (see
-  /// mining/checkpoint.h) that ResumeMaximal can later restart from. A
+  /// mining/checkpoint.h), its own to stamp and write, that ResumeMaximal
+  /// can later restart from; a run's supports come back in its result. A
   /// failing sink is reported once via PINCER_LOG and mining continues —
   /// checkpointing is best-effort by design (a full disk must not kill the
   /// run it exists to protect).
-  std::function<Status(const Checkpoint&)> checkpoint_sink;
+  std::function<Status(Checkpoint)> checkpoint_sink;
 };
 
 }  // namespace pincer

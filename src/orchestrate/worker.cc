@@ -54,12 +54,11 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
 
   size_t checkpoints_written = 0;
   if (!config.checkpoint_path.empty()) {
-    options.checkpoint_sink = [&](const Checkpoint& checkpoint) {
-      Checkpoint stamped = checkpoint;
-      stamped.database.path = fingerprint.path;
-      stamped.database.file_bytes = fingerprint.file_bytes;
+    options.checkpoint_sink = [&](Checkpoint checkpoint) {
+      checkpoint.database.path = fingerprint.path;
+      checkpoint.database.file_bytes = fingerprint.file_bytes;
       const Status written =
-          WriteCheckpointToFile(stamped, config.checkpoint_path);
+          WriteCheckpointToFile(checkpoint, config.checkpoint_path);
       if (written.ok() && config.die_after_checkpoints > 0 &&
           ++checkpoints_written >= config.die_after_checkpoints) {
         // Failure-schedule hook: die the way a crashed worker dies — no
@@ -73,32 +72,21 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
   MaximalSetResult mined;
   bool resumed = false;
   if (config.resume && FileExists(config.checkpoint_path)) {
+    const auto cannot_resume = [&](const Status& cause) {
+      return Status(cause.code(), "cannot resume shard " +
+                                      std::to_string(config.shard_index) +
+                                      ": " + cause.message());
+    };
     const StatusOr<Checkpoint> checkpoint =
         ReadCheckpointFromFile(config.checkpoint_path);
-    if (!checkpoint.ok()) {
-      return Status(checkpoint.status().code(),
-                    "cannot resume shard " +
-                        std::to_string(config.shard_index) + ": " +
-                        checkpoint.status().message());
-    }
-    if (!checkpoint->database.path.empty() &&
-        (checkpoint->database.path != fingerprint.path ||
-         checkpoint->database.file_bytes != fingerprint.file_bytes)) {
-      return Status::InvalidArgument(
-          "cannot resume shard " + std::to_string(config.shard_index) +
-          ": checkpoint was written for " + checkpoint->database.path + " (" +
-          std::to_string(checkpoint->database.file_bytes) + " bytes), not " +
-          fingerprint.path + " (" + std::to_string(fingerprint.file_bytes) +
-          " bytes)");
+    if (!checkpoint.ok()) return cannot_resume(checkpoint.status());
+    if (const Status same_file = CheckCheckpointFile(*checkpoint, fingerprint);
+        !same_file.ok()) {
+      return cannot_resume(same_file);
     }
     StatusOr<MaximalSetResult> result =
         ResumeMaximal(*db, options, config.algorithm, *checkpoint);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    "cannot resume shard " +
-                        std::to_string(config.shard_index) + ": " +
-                        result.status().message());
-    }
+    if (!result.ok()) return cannot_resume(result.status());
     mined = std::move(*result);
     resumed = true;
   } else {

@@ -8,41 +8,8 @@
 
 namespace pincer {
 
-SupportIndex::SupportIndex(const Checkpoint& checkpoint,
-                           const std::vector<FrequentItemset>& mfs) {
-  singleton_counts_ = checkpoint.singleton_counts;
-  if (!checkpoint.pair_items.empty()) {
-    pairs_.emplace(checkpoint.pair_items);
-    if (!pairs_->RestoreCounts(checkpoint.pair_counts)) pairs_.reset();
-  }
-  const auto insert_all = [&](const std::vector<FrequentItemset>& sets) {
-    for (const FrequentItemset& fi : sets) {
-      supports_.emplace(fi.itemset, fi.support);
-    }
-  };
-  insert_all(checkpoint.support_cache);
-  insert_all(checkpoint.frequent);
-  insert_all(checkpoint.precounted);
-  insert_all(checkpoint.mfs);
-  insert_all(mfs);
-}
-
-std::optional<uint64_t> SupportIndex::Lookup(const Itemset& itemset) const {
-  if (itemset.size() == 1 && itemset[0] < singleton_counts_.size()) {
-    return singleton_counts_[itemset[0]];
-  }
-  if (itemset.size() == 2 && pairs_.has_value()) {
-    const std::optional<uint64_t> count =
-        pairs_->TryPairCount(itemset[0], itemset[1]);
-    if (count.has_value()) return count;
-  }
-  const auto it = supports_.find(itemset);
-  if (it == supports_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::optional<std::vector<FrequentItemset>> FilterMfsAtHigherMinCount(
-    const std::vector<FrequentItemset>& base_mfs, const SupportIndex& supports,
+    const std::vector<FrequentItemset>& base_mfs, const SupportTable& supports,
     uint64_t min_count) {
   // Top-down descent over subsets of the base MFS, largest first. A
   // candidate still frequent at the stricter threshold is maximal (its

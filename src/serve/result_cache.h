@@ -4,7 +4,7 @@
 // without touching the counting layer at all. A second, cheaper path covers
 // the common "same query, stricter support" case: a query at a strictly
 // higher min_support than a cached run is answered by filtering the cached
-// MFS downward and re-validating supports against the run's support cache —
+// MFS downward and re-validating supports against the run's SupportTable —
 // sound because raising the threshold can only shrink the frequent set, so
 // every newly-maximal itemset is a subset of a cached maximal one. When a
 // needed support was never counted by the original run (routine for
@@ -22,44 +22,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "counting/array_counters.h"
-#include "itemset/itemset.h"
-#include "mining/checkpoint.h"
 #include "mining/frequent_itemset.h"
 #include "mining/mining_stats.h"
+#include "mining/support_table.h"
 
 namespace pincer {
 
-/// Read-only index over every support the originating run counted, mirroring
-/// the Pincer driver's own lookup tiers: the pass-1 singleton array, the
-/// pass-2 triangular pair matrix, and a hash map for everything else.
-class SupportIndex {
- public:
-  /// Builds from the run's final checkpoint (support_cache, frequent,
-  /// precounted, singleton_counts, pair matrix) plus the result MFS itself.
-  SupportIndex(const Checkpoint& checkpoint,
-               const std::vector<FrequentItemset>& mfs);
-
-  /// The itemset's support count, or nullopt if the run never counted it.
-  std::optional<uint64_t> Lookup(const Itemset& itemset) const;
-
-  size_t map_entries() const { return supports_.size(); }
-
- private:
-  std::vector<uint64_t> singleton_counts_;
-  std::optional<PairCountMatrix> pairs_;
-  std::unordered_map<Itemset, uint64_t, ItemsetHash> supports_;
-};
-
 /// Recomputes the MFS at a stricter threshold from a cached one.
 /// `base_mfs` must be the complete MFS at some min_count <= `min_count`;
-/// `supports` must index the supports the originating run counted. Returns
-/// the exact MFS at `min_count` (lexicographically sorted, like
+/// `supports` must be the originating run's MaximalSetResult::supports.
+/// Returns the exact MFS at `min_count` (lexicographically sorted, like
 /// MaximalSetResult::mfs), or nullopt as soon as a needed support is not in
-/// the index — never a wrong answer. Differentially validated against fresh
+/// the table — never a wrong answer. Differentially validated against fresh
 /// mines in tests/serve_service_test.cc.
 std::optional<std::vector<FrequentItemset>> FilterMfsAtHigherMinCount(
-    const std::vector<FrequentItemset>& base_mfs, const SupportIndex& supports,
+    const std::vector<FrequentItemset>& base_mfs, const SupportTable& supports,
     uint64_t min_count);
 
 /// Bounded LRU cache of completed mining runs, shared by all daemon
@@ -80,11 +57,11 @@ class ResultCache {
     uint64_t min_count = 0;
     std::vector<FrequentItemset> mfs;
     MiningStats stats;
-    /// The originating run's counted supports. Entries derived by the
-    /// filter path share their base entry's index (shared_ptr keeps it
-    /// alive past the base's eviction), so they can serve as filter bases
-    /// themselves.
-    std::shared_ptr<const SupportIndex> supports;
+    /// The originating run's counted supports, read without a lock.
+    /// Entries derived by the filter path share their base entry's table
+    /// (shared_ptr keeps it alive past the base's eviction), so they can
+    /// serve as filter bases themselves.
+    std::shared_ptr<const SupportTable> supports;
   };
 
   /// Keeps at most `capacity` entries (>= 1), evicting least-recently-used.

@@ -424,6 +424,12 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
         const MaximalSetResult result = PincerSearch(db, config.options);
         check_maximal(result.mfs);
         check_stats(result.stats);
+        for (const FrequentItemset& fi : result.mfs) {
+          if (result.supports.Lookup(fi.itemset) != fi.support) {
+            report.failures.push_back(context + ": result.supports lacks " +
+                                      fi.itemset.ToString() + "'s support");
+          }
+        }
         break;
       }
       case Miner::kPartition: {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -448,6 +449,25 @@ TEST(CheckpointResume, RejectsStaleCheckpoints) {
         ResumeMaximal(db, options, Algorithm::kPincer, comparable);
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+
+    // A pass-2 matrix one count short: the fast path's triangle over
+    // pair_items no longer fills, and resume must refuse it rather than
+    // read counts off by one rank.
+    ASSERT_TRUE(options.use_array_fast_path);
+    const auto after_pass_two = std::find_if(
+        pincer_checkpoints.begin(), pincer_checkpoints.end(),
+        [](const Checkpoint& recorded) { return recorded.next_pass == 3; });
+    ASSERT_NE(after_pass_two, pincer_checkpoints.end());
+    Checkpoint torn = *after_pass_two;
+    ASSERT_FALSE(torn.pair_counts.empty());
+    torn.pair_counts.pop_back();
+    const StatusOr<MaximalSetResult> from_torn =
+        ResumeMaximal(db, options, Algorithm::kPincer, torn);
+    ASSERT_FALSE(from_torn.ok());
+    EXPECT_EQ(from_torn.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(from_torn.status().message().find("pair_counts"),
+              std::string::npos)
+        << from_torn.status();
   }
 }
 

@@ -110,11 +110,22 @@ TEST(DifferentialStress, LabelsAreDistinct) {
       << "duplicate config labels would make failure reports ambiguous";
 }
 
+// Every MFS element's support is in the run's support table, with the
+// value the MFS reports.
+void ExpectMfsSupportsInTable(const MaximalSetResult& result,
+                              const std::string& context) {
+  for (const FrequentItemset& fi : result.mfs) {
+    EXPECT_EQ(result.supports.Lookup(fi.itemset), fi.support)
+        << context << ": " << fi;
+  }
+}
+
 TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
   // Checkpoint/resume differential: every algorithm × fast-path setting
   // over a Quest database — capture a checkpoint after every pass, resume
   // from each one through its JSON form, and demand the bit-identical MFS
-  // and supports of the uninterrupted run.
+  // and supports of the uninterrupted run, and a support table that holds
+  // every MFS element's support.
   const StatusOr<TransactionDatabase> db =
       GenerateQuestDatabase(SweepShapes()[1]);
   ASSERT_TRUE(db.ok()) << db.status();
@@ -141,6 +152,7 @@ TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
       };
       const MaximalSetResult reference = MineMaximal(*db, recording, algorithm);
       ASSERT_FALSE(checkpoints.empty()) << context;
+      ExpectMfsSupportsInTable(reference, context);
 
       for (const Checkpoint& checkpoint : checkpoints) {
         const StatusOr<Checkpoint> reloaded =
@@ -154,6 +166,9 @@ TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
             << resumed.status();
         EXPECT_EQ(resumed->mfs, reference.mfs)
             << context << " resumed at pass " << checkpoint.next_pass;
+        ExpectMfsSupportsInTable(*resumed,
+                                 context + " resumed at pass " +
+                                     std::to_string(checkpoint.next_pass));
         // The per-pass backend pick is re-derived on resume, never read
         // back from the checkpoint — under kAuto the resumed run's passes
         // must still record a concrete pick, never "auto".

@@ -1,90 +1,122 @@
-// Tests for the daemon's result cache: the SupportIndex lookup tiers, the
-// higher-threshold filter path (including its never-wrong guarantee — a
-// missing support yields nullopt, not a guess), and the LRU container.
+// Tests for the daemon's result cache: the SupportTable lookup tiers and
+// their checkpoint round trip, the higher-threshold filter path (including
+// its never-wrong guarantee — a missing support yields nullopt, not a
+// guess), and the LRU container.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "counting/array_counters.h"
 #include "mining/checkpoint.h"
 #include "mining/miner.h"
+#include "mining/support_table.h"
 #include "serve/result_cache.h"
 #include "testing/db_builder.h"
 
 namespace pincer {
 namespace {
 
-TEST(SupportIndex, SingletonTierReadsThePassOneArray) {
-  Checkpoint checkpoint;
-  checkpoint.singleton_counts = {5, 4, 3, 0};
-  const SupportIndex index(checkpoint, {});
-  EXPECT_EQ(index.Lookup(Itemset{0}), 5u);
-  EXPECT_EQ(index.Lookup(Itemset{2}), 3u);
-  EXPECT_EQ(index.Lookup(Itemset{3}), 0u);
+TEST(SupportTable, SingletonTierReadsThePassOneArray) {
+  SupportTable table;
+  table.SetSingletonCounts({5, 4, 3, 0});
+  EXPECT_EQ(table.Lookup(Itemset{0}), 5u);
+  EXPECT_EQ(table.Lookup(Itemset{2}), 3u);
+  EXPECT_EQ(table.Lookup(Itemset{3}), 0u);
   // Out of the array's range, and not in the map either.
-  EXPECT_FALSE(index.Lookup(Itemset{4}).has_value());
+  EXPECT_FALSE(table.Lookup(Itemset{4}).has_value());
 }
 
-TEST(SupportIndex, PairTierReadsTheTriangularMatrix) {
+TEST(SupportTable, PairTierReadsTheTriangularMatrix) {
   const TransactionDatabase db =
       MakeDatabase({{0, 1, 2}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}});
   PairCountMatrix matrix({0, 1, 2});
   matrix.CountDatabase(db);
 
-  Checkpoint checkpoint;
-  checkpoint.pair_items = matrix.frequent_items();
-  checkpoint.pair_counts = matrix.raw_counts();
-  const SupportIndex index(checkpoint, {});
-  EXPECT_EQ(index.Lookup(Itemset{0, 1}), db.CountSupport(Itemset{0, 1}));
-  EXPECT_EQ(index.Lookup(Itemset{1, 2}), db.CountSupport(Itemset{1, 2}));
+  SupportTable table;
+  table.SetPairCounts(std::move(matrix));
+  EXPECT_EQ(table.Lookup(Itemset{0, 1}), db.CountSupport(Itemset{0, 1}));
+  EXPECT_EQ(table.Lookup(Itemset{1, 2}), db.CountSupport(Itemset{1, 2}));
   // A pair with a non-indexed item falls through to the map and misses.
-  EXPECT_FALSE(index.Lookup(Itemset{1, 3}).has_value());
+  EXPECT_FALSE(table.Lookup(Itemset{1, 3}).has_value());
 }
 
-TEST(SupportIndex, PairTierIsDroppedOnCountSizeMismatch) {
-  Checkpoint checkpoint;
-  checkpoint.pair_items = {0, 1, 2};        // triangle needs 3 counts
-  checkpoint.pair_counts = {7};             // torn snapshot
-  checkpoint.support_cache = {{Itemset{0, 1}, 9}};
-  const SupportIndex index(checkpoint, {});
-  // The bad matrix must not serve garbage; the map tier still answers.
-  EXPECT_EQ(index.Lookup(Itemset{0, 1}), 9u);
-  EXPECT_FALSE(index.Lookup(Itemset{0, 2}).has_value());
+TEST(SupportTable, CheckpointRoundTripAnswersTheSameLookups) {
+  // A real Pincer run fills all three tiers: the pass-1 array, the pass-2
+  // matrix (fast path on) and the map. Written to a checkpoint, through
+  // its JSON form, and restored, the table must answer every itemset of
+  // the universe as the original does, and write the same sections back.
+  const TransactionDatabase db = MakeDatabase({{0, 1, 2, 3, 4},
+                                               {0, 1, 2, 3},
+                                               {0, 1, 2, 4},
+                                               {0, 1, 3, 4},
+                                               {1, 2, 3, 4},
+                                               {0, 1, 2},
+                                               {2, 3, 4, 5},
+                                               {0, 5}});
+  MiningOptions options;
+  options.min_support = 0.25;
+  const MaximalSetResult mined = MineMaximal(db, options, Algorithm::kPincer);
+  ASSERT_FALSE(mined.stats.aborted);
+  ASSERT_GE(mined.stats.passes, 3u);
+
+  Checkpoint written;
+  written.next_pass = 2;
+  written.database.items = db.num_items();
+  mined.supports.WriteCheckpoint(written);
+  ASSERT_FALSE(written.singleton_counts.empty());
+  ASSERT_FALSE(written.pair_counts.empty());
+  ASSERT_FALSE(written.support_cache.empty());
+  const StatusOr<Checkpoint> parsed = ParseCheckpoint(written.ToJsonString());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const StatusOr<SupportTable> restored = SupportTable::FromCheckpoint(*parsed);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+
+  size_t answered = 0;
+  for (uint32_t mask = 1; mask < (1u << db.num_items()); ++mask) {
+    std::vector<ItemId> items;
+    for (ItemId item = 0; item < db.num_items(); ++item) {
+      if ((mask >> item) & 1u) items.push_back(item);
+    }
+    const Itemset itemset(std::move(items));
+    const std::optional<uint64_t> support = mined.supports.Lookup(itemset);
+    EXPECT_EQ(restored->Lookup(itemset), support) << itemset;
+    if (support.has_value()) {
+      EXPECT_EQ(*support, db.CountSupport(itemset)) << itemset;
+      ++answered;
+    }
+  }
+  EXPECT_GT(answered, db.num_items());
+
+  Checkpoint rewritten = written;
+  rewritten.support_cache.clear();
+  rewritten.singleton_counts.clear();
+  rewritten.pair_items.clear();
+  rewritten.pair_counts.clear();
+  restored->WriteCheckpoint(rewritten);
+  EXPECT_EQ(rewritten.ToJsonString(), written.ToJsonString());
 }
 
-TEST(SupportIndex, MapTierMergesEverySupportSource) {
-  Checkpoint checkpoint;
-  checkpoint.support_cache = {{Itemset{0, 1, 2}, 4}};
-  checkpoint.frequent = {{Itemset{3, 4}, 6}};
-  checkpoint.precounted = {{Itemset{5, 6}, 2}};
-  checkpoint.mfs = {{Itemset{0, 1, 2, 3}, 3}};
-  const std::vector<FrequentItemset> result_mfs = {{Itemset{7, 8, 9}, 5}};
-  const SupportIndex index(checkpoint, result_mfs);
-  EXPECT_EQ(index.Lookup(Itemset{0, 1, 2}), 4u);
-  EXPECT_EQ(index.Lookup(Itemset{3, 4}), 6u);
-  EXPECT_EQ(index.Lookup(Itemset{5, 6}), 2u);
-  EXPECT_EQ(index.Lookup(Itemset{0, 1, 2, 3}), 3u);
-  EXPECT_EQ(index.Lookup(Itemset{7, 8, 9}), 5u);
-  EXPECT_FALSE(index.Lookup(Itemset{0, 1}).has_value());
-}
-
-// A hand-built index for filter tests: supports via support_cache +
+// A hand-built table for filter tests: supports via the map tier + the
 // singleton array.
-SupportIndex MakeIndex(std::vector<uint64_t> singletons,
+SupportTable MakeTable(std::vector<uint64_t> singletons,
                        std::vector<FrequentItemset> sets) {
-  Checkpoint checkpoint;
-  checkpoint.singleton_counts = std::move(singletons);
-  checkpoint.support_cache = std::move(sets);
-  return SupportIndex(checkpoint, {});
+  SupportTable table;
+  table.SetSingletonCounts(std::move(singletons));
+  for (FrequentItemset& fi : sets) {
+    table.Record(std::move(fi.itemset), fi.support);
+  }
+  return table;
 }
 
 TEST(FilterMfs, DescendsToTheExactStricterMfs) {
   // Base MFS at min_count 2: {0,1,2}@2 and {2,3}@3. At min_count 3 the
   // triple dies; among its pairs only {0,1}@3 survives, and {2,3} stays.
-  const SupportIndex index = MakeIndex(
+  const SupportTable table = MakeTable(
       {4, 4, 4, 3},
       {{Itemset{0, 1, 2}, 2},
        {Itemset{0, 1}, 3},
@@ -93,7 +125,7 @@ TEST(FilterMfs, DescendsToTheExactStricterMfs) {
        {Itemset{2, 3}, 3}});
   const std::vector<FrequentItemset> base = {{Itemset{0, 1, 2}, 2},
                                              {Itemset{2, 3}, 3}};
-  const auto filtered = FilterMfsAtHigherMinCount(base, index, 3);
+  const auto filtered = FilterMfsAtHigherMinCount(base, table, 3);
   ASSERT_TRUE(filtered.has_value());
   const std::vector<FrequentItemset> want = {{Itemset{0, 1}, 3},
                                              {Itemset{2, 3}, 3}};
@@ -101,11 +133,11 @@ TEST(FilterMfs, DescendsToTheExactStricterMfs) {
 }
 
 TEST(FilterMfs, SameThresholdReturnsTheBaseSorted) {
-  const SupportIndex index =
-      MakeIndex({}, {{Itemset{2, 3}, 3}, {Itemset{0, 1}, 2}});
+  const SupportTable table =
+      MakeTable({}, {{Itemset{2, 3}, 3}, {Itemset{0, 1}, 2}});
   const std::vector<FrequentItemset> base = {{Itemset{2, 3}, 3},
                                              {Itemset{0, 1}, 2}};
-  const auto filtered = FilterMfsAtHigherMinCount(base, index, 2);
+  const auto filtered = FilterMfsAtHigherMinCount(base, table, 2);
   ASSERT_TRUE(filtered.has_value());
   const std::vector<FrequentItemset> want = {{Itemset{0, 1}, 2},
                                              {Itemset{2, 3}, 3}};
@@ -115,72 +147,74 @@ TEST(FilterMfs, SameThresholdReturnsTheBaseSorted) {
 TEST(FilterMfs, AcceptedCoverSuppressesSubsumedCandidates) {
   // Both base sets shrink to subsets of the surviving {0,1,2}; nothing
   // extra may appear.
-  const SupportIndex index = MakeIndex(
+  const SupportTable table = MakeTable(
       {9, 9, 9, 1},
       {{Itemset{0, 1, 2, 3}, 1}, {Itemset{0, 1, 2}, 5}, {Itemset{0, 1, 3}, 1},
        {Itemset{0, 2, 3}, 1}, {Itemset{1, 2, 3}, 1}, {Itemset{0, 3}, 1},
        {Itemset{1, 3}, 1}, {Itemset{2, 3}, 1}});
   const std::vector<FrequentItemset> base = {{Itemset{0, 1, 2, 3}, 1}};
-  const auto filtered = FilterMfsAtHigherMinCount(base, index, 5);
+  const auto filtered = FilterMfsAtHigherMinCount(base, table, 5);
   ASSERT_TRUE(filtered.has_value());
   const std::vector<FrequentItemset> want = {{Itemset{0, 1, 2}, 5}};
   EXPECT_EQ(*filtered, want);
 }
 
 TEST(FilterMfs, MissingSupportMeansNulloptNeverAGuess) {
-  // {0,2} is needed once {0,1,2} dies, but the index never counted it.
-  const SupportIndex index = MakeIndex(
+  // {0,2} is needed once {0,1,2} dies, but the table never counted it.
+  const SupportTable table = MakeTable(
       {4, 4, 4},
       {{Itemset{0, 1, 2}, 2}, {Itemset{0, 1}, 3}, {Itemset{1, 2}, 2}});
   const std::vector<FrequentItemset> base = {{Itemset{0, 1, 2}, 2}};
-  EXPECT_FALSE(FilterMfsAtHigherMinCount(base, index, 3).has_value());
+  EXPECT_FALSE(FilterMfsAtHigherMinCount(base, table, 3).has_value());
 }
 
 TEST(FilterMfs, EverythingInfrequentYieldsAnEmptyMfs) {
-  const SupportIndex index =
-      MakeIndex({2, 2}, {{Itemset{0, 1}, 1}});
+  const SupportTable table =
+      MakeTable({2, 2}, {{Itemset{0, 1}, 1}});
   const std::vector<FrequentItemset> base = {{Itemset{0, 1}, 1}};
-  const auto filtered = FilterMfsAtHigherMinCount(base, index, 5);
+  const auto filtered = FilterMfsAtHigherMinCount(base, table, 5);
   ASSERT_TRUE(filtered.has_value());
   EXPECT_TRUE(filtered->empty());
 }
 
 TEST(FilterMfs, DifferentiallyMatchesAFreshMineOnApriori) {
-  // Apriori's final checkpoint carries the complete frequent set, so the
-  // filter path must succeed and agree with a fresh mine — this is the
-  // in-process version of the daemon's "filter" cache differential.
+  // The filter over a run's own supports, for every driver — the
+  // in-process version of the daemon's "filter" cache differential. The
+  // Apriori drivers hand back the complete frequent set, so their bases
+  // must always filter; Pincer-Search skips counting subsets of frequent
+  // MFCS elements, so its bases may decline, but never answer wrongly.
   RandomDbParams params;
   params.num_items = 12;
   params.num_transactions = 80;
   params.item_probability = 0.45;
-  for (uint64_t seed : {3u, 11u, 29u}) {
-    params.seed = seed;
-    const TransactionDatabase db = MakeRandomDatabase(params);
+  for (const Algorithm algorithm :
+       {Algorithm::kApriori, Algorithm::kAprioriCombined, Algorithm::kPincer,
+        Algorithm::kPincerAdaptive}) {
+    const bool must_filter = algorithm == Algorithm::kApriori ||
+                             algorithm == Algorithm::kAprioriCombined;
+    for (uint64_t seed : {3u, 11u, 29u}) {
+      params.seed = seed;
+      const TransactionDatabase db = MakeRandomDatabase(params);
 
-    MiningOptions base_options;
-    base_options.min_support = 0.1;
-    Checkpoint final_checkpoint;
-    base_options.checkpoint_sink = [&](const Checkpoint& checkpoint) {
-      final_checkpoint = checkpoint;
-      return Status::OK();
-    };
-    const MaximalSetResult base =
-        MineMaximal(db, base_options, Algorithm::kApriori);
-    ASSERT_FALSE(base.stats.aborted);
-    const SupportIndex index(final_checkpoint, base.mfs);
+      MiningOptions base_options;
+      base_options.min_support = 0.1;
+      const MaximalSetResult base = MineMaximal(db, base_options, algorithm);
+      ASSERT_FALSE(base.stats.aborted);
 
-    for (double stricter : {0.15, 0.2, 0.3, 0.5}) {
-      const uint64_t min_count = db.MinSupportCount(stricter);
-      const auto filtered =
-          FilterMfsAtHigherMinCount(base.mfs, index, min_count);
-      ASSERT_TRUE(filtered.has_value())
-          << "seed " << seed << " minsup " << stricter;
-      MiningOptions fresh_options;
-      fresh_options.min_support = stricter;
-      const MaximalSetResult fresh =
-          MineMaximal(db, fresh_options, Algorithm::kApriori);
-      EXPECT_EQ(*filtered, fresh.mfs)
-          << "seed " << seed << " minsup " << stricter;
+      for (double stricter : {0.15, 0.2, 0.3, 0.5}) {
+        const std::string context = std::string(AlgorithmName(algorithm)) +
+                                    " seed " + std::to_string(seed) +
+                                    " minsup " + std::to_string(stricter);
+        const auto filtered = FilterMfsAtHigherMinCount(
+            base.mfs, base.supports, db.MinSupportCount(stricter));
+        ASSERT_TRUE(filtered.has_value() || !must_filter) << context;
+        if (!filtered.has_value()) continue;
+        MiningOptions fresh_options;
+        fresh_options.min_support = stricter;
+        const MaximalSetResult fresh =
+            MineMaximal(db, fresh_options, algorithm);
+        EXPECT_EQ(*filtered, fresh.mfs) << context;
+      }
     }
   }
 }

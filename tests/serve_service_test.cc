@@ -360,6 +360,32 @@ TEST_F(ServeServiceTest, ConcurrentSessionsAllGetColdIdenticalAnswers) {
   }
 }
 
+TEST_F(ServeServiceTest, ConcurrentFiltersReadOneSharedSupportTable) {
+  // One cached Apriori base; six stricter queries in flight at once all
+  // descend from it (or from an entry derived from it, which shares its
+  // table), reading the run's SupportTable without a lock.
+  ASSERT_EQ(CacheOf(Handle(MineLine("quest", 0.05, "apriori"))), "miss");
+  const std::vector<double> thresholds = {0.08, 0.1, 0.15, 0.2, 0.25, 0.3};
+  std::vector<std::string> responses(thresholds.size());
+  std::vector<std::thread> sessions;
+  for (size_t t = 0; t < thresholds.size(); ++t) {
+    sessions.emplace_back([&, t] {
+      responses[t] =
+          service_->HandleLine(MineLine("quest", thresholds[t], "apriori"));
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+
+  for (size_t t = 0; t < thresholds.size(); ++t) {
+    StatusOr<JsonValue> parsed = ParseJson(responses[t]);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(OkOf(*parsed)) << responses[t];
+    EXPECT_EQ(CacheOf(*parsed), "filter") << "threshold " << thresholds[t];
+    EXPECT_EQ(MfsOf(*parsed), ColdMine(thresholds[t], Algorithm::kApriori).mfs)
+        << "threshold " << thresholds[t];
+  }
+}
+
 TEST_F(ServeServiceTest, InitRejectsBadConfigurations) {
   ServerOptions empty;
   MiningService no_dbs;

@@ -4,10 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "apriori/apriori.h"
 #include "counting/array_counters.h"
@@ -15,7 +17,9 @@
 #include "counting/streaming_counter.h"
 #include "data/database_io.h"
 #include "gen/quest_gen.h"
+#include "itemset/popcount_kernels.h"
 #include "mining/miner.h"
+#include "util/prng.h"
 #include "util/thread_pool.h"
 
 namespace pincer {
@@ -150,6 +154,42 @@ void BM_PassTwoTriangularMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PassTwoTriangularMatrix)->Unit(benchmark::kMillisecond);
+
+// The vertical kernel alone: one intersect-and-popcount of two 100K-bit
+// tidsets (the row count of the Figure-3 databases), once per word-loop
+// variant. A variant this CPU cannot run is reported as skipped. Items are
+// 64-bit words.
+void BM_IntersectionCount(benchmark::State& state, std::string_view variant) {
+  const std::vector<PopcountKernel> kernels = SupportedPopcountKernels();
+  const auto kernel = std::find_if(
+      kernels.begin(), kernels.end(),
+      [variant](const PopcountKernel& k) { return k.name == variant; });
+  if (kernel == kernels.end()) {
+    state.SkipWithError("variant not supported on this CPU");
+    return;
+  }
+  constexpr size_t kBits = 100'000;
+  constexpr size_t kWords = (kBits + 63) / 64;
+  Prng rng(7);
+  std::vector<uint64_t> a(kWords), b(kWords);
+  for (size_t i = 0; i < kWords; ++i) {
+    a[i] = rng.NextUint64();
+    b[i] = rng.NextUint64();
+  }
+  // Bits past kBits stay zero, as in a DynamicBitset.
+  a.back() &= (uint64_t{1} << (kBits % 64)) - 1;
+  b.back() &= (uint64_t{1} << (kBits % 64)) - 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernel->intersection_count(a.data(), b.data(), kWords));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kWords));
+}
+BENCHMARK_CAPTURE(BM_IntersectionCount, portable, "portable")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IntersectionCount, popcnt, "popcnt")
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pincer

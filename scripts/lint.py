@@ -48,6 +48,11 @@ Enforces project rules that clang-tidy cannot express (CI job
                    src/orchestrate/worker.cc, the resume writers. A run's
                    supports come back as MaximalSetResult::supports, so the
                    per-pass snapshot never becomes a result channel again.
+  popcount         `std::popcount` and `__builtin_popcount*` under src/ only
+                   in src/itemset/dynamic_bitset.cc. The default x86-64
+                   target has no POPCNT instruction, so a popcount loop
+                   anywhere else calls libgcc once per word; the bitset's
+                   word loops are compiled for POPCNT and picked per CPU.
   include-guard    every header uses a PINCER_<PATH>_H_ include guard whose
                    name matches its path (src/ prefix stripped), so moves
                    and copies cannot silently collide.
@@ -102,6 +107,8 @@ SUBSET_SCAN_DIRS = ("src/itemset/", "src/core/", "src/testing/")
 SUBSET_SCAN = re.compile(r"(\.|->)\s*IsSubsetOf\s*\(")
 CHECKPOINT_SINK_FILES = ("src/mining/", "src/orchestrate/worker.cc")
 CHECKPOINT_SINK = re.compile(r"\bcheckpoint_sink\b")
+POPCOUNT_FILES = {"src/itemset/dynamic_bitset.cc"}
+POPCOUNT = re.compile(r"\bstd::popcount\b|\b__builtin_popcount\w*")
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
 
@@ -318,6 +325,23 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        if (
+            is_cpp
+            and in_src
+            and relpath not in POPCOUNT_FILES
+            and POPCOUNT.search(code)
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "popcount",
+                    "count bits through DynamicBitset (Count / "
+                    "IntersectionCount), whose word loops use POPCNT where "
+                    "the CPU has it; a popcount here calls libgcc per word",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -522,6 +546,24 @@ SELF_TEST_CASES = {
     "checkpoint-sink-comment-ok": (
         "src/serve/x.cc",
         "// no checkpoint_sink capture here\n",
+    ),
+    "popcount": ("src/core/x.cc", "total += std::popcount(word);\n"),
+    "popcount-builtin": (
+        "src/counting/x.cc",
+        "n += __builtin_popcountll(a[i] & b[i]);\n",
+    ),
+    "popcount-other-itemset-file": (
+        "src/itemset/itemset.cc",
+        "return static_cast<size_t>(__builtin_popcount(mask));\n",
+    ),
+    "popcount-bitset-ok": (
+        "src/itemset/dynamic_bitset.cc",
+        "return static_cast<size_t>(__builtin_popcountll(word));\n",
+    ),
+    "popcount-tests-ok": ("tests/x.cc", "EXPECT_EQ(std::popcount(w), 3);\n"),
+    "popcount-comment-ok": (
+        "src/data/x.cc",
+        "// a fused intersect-and-popcount, not a std::popcount loop\n",
     ),
     "nondeterminism": ("src/core/x.cc", "int r = rand();\n"),
     "nondeterminism-gen-ok": ("src/gen/x.cc", "std::mt19937 rng;\n"),

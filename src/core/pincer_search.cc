@@ -339,13 +339,18 @@ std::vector<Itemset> PincerDriver::PassTwo(
   std::vector<Itemset> l2;
   auto classify_pair = [&](const ItemId a, const ItemId b, uint64_t count,
                            bool cache_count) {
+    const bool frequent = IsFrequentCount(count);
+    // Once maintenance is off, an infrequent pair feeds neither L_2 nor the
+    // MFCS update; unless its count goes to the support map, build no
+    // itemset for it.
+    if (!frequent && !maintain_mfcs_ && !cache_count) return;
     const Itemset pair{a, b};
     // After an adaptive switch-off the loop is plain Apriori: covered pairs
     // are ordinary frequent itemsets again.
     const bool covered = maintain_mfcs_ && mfs_.CoveredBy(pair);
     if (cache_count) supports_.Record(pair, count);
     if (covered) return;
-    if (IsFrequentCount(count)) {
+    if (frequent) {
       bottom_up_frequent_.push_back({pair, count});
       l2.push_back(pair);
       ++pass.num_frequent;
@@ -373,12 +378,14 @@ std::vector<Itemset> PincerDriver::PassTwo(
   if (options_.use_array_fast_path && frequent_items.size() >= 2) {
     PairCountMatrix matrix(frequent_items);
     if (!run_.CountPairs(matrix, pass)) return {};
-    precheck_batch(matrix.raw_counts());
+    const std::vector<uint64_t>& pair_counts = matrix.raw_counts();
+    precheck_batch(pair_counts);
+    // raw_counts() is row-major by rank, so cell follows (i, j) in order.
+    size_t cell = 0;
     for (size_t i = 0; i < frequent_items.size(); ++i) {
-      for (size_t j = i + 1; j < frequent_items.size(); ++j) {
+      for (size_t j = i + 1; j < frequent_items.size(); ++j, ++cell) {
         // Counts of size-2 itemsets stay in the matrix; no map entry.
-        classify_pair(frequent_items[i], frequent_items[j],
-                      matrix.PairCount(frequent_items[i], frequent_items[j]),
+        classify_pair(frequent_items[i], frequent_items[j], pair_counts[cell],
                       /*cache_count=*/false);
       }
     }

@@ -27,12 +27,16 @@ namespace pincer {
 /// the vertical kernel. Calibrated on the Figure-3/4 workloads (see
 /// docs/benchmarking.md, "Backend selection"): a trie step is a dependent
 /// pointer chase (~3-35ns measured per item over the fig-3 generic passes),
-/// a vertical word op is one lane of an unrolled auto-vectorized loop
-/// (~0.35ns measured), so the honest ratio sits in the tens. 64 keeps the
-/// deep concentrated fig-4 MFCS batches vertical (where the trie walk's
-/// recursion fanout makes it 10x slower) while the extreme sparse-wide
-/// regime — candidate batches in the hundreds of thousands against short
-/// rows — still lands horizontal.
+/// a vertical word op is one AND and one POPCNT instruction of the unrolled
+/// word loop (~0.4ns measured over two 100K-bit tidsets; ~3.6ns through the
+/// portable loop, one libgcc call per word, on a CPU without POPCNT), so
+/// the honest ratio sits in the tens (about 1-10 on the portable loop).
+/// 64 keeps the deep concentrated fig-4 MFCS batches vertical (where the
+/// trie walk's recursion fanout makes it 10x slower) while the extreme
+/// sparse-wide regime — candidate batches in the hundreds of thousands
+/// against short rows — still lands horizontal. The constant was set before
+/// the word loop ran POPCNT and is deliberately unchanged, so every pick is
+/// the same as before; ROADMAP.md plans to replace this model outright.
 inline constexpr uint64_t kHorizontalItemCostInWordOps = 64;
 
 /// SupportCounter that delegates each CountSupports call to a TrieCounter

@@ -69,12 +69,17 @@ class PairCountMatrix {
   }
 
  private:
-  // Index into the packed upper triangle for ranks r1 < r2.
-  size_t TriIndex(size_t r1, size_t r2) const;
+  // rank_of_ entry of an item that is not frequent.
+  static constexpr uint32_t kNoRank = UINT32_MAX;
+
+  // Cell (r1, r2), r1 < r2, of the packed upper triangle is
+  // RowBase(r1) + r2 (unsigned; see the definition).
+  size_t RowBase(size_t r1) const;
 
   std::vector<ItemId> items_;
-  // rank_of_[item] = dense rank, or SIZE_MAX for non-frequent items.
-  std::vector<size_t> rank_of_;
+  // rank_of_[item] = dense rank, or kNoRank for non-frequent items. Ranks
+  // fit in 32 bits: they index items_, whose ids are 32-bit and distinct.
+  std::vector<uint32_t> rank_of_;
   std::vector<uint64_t> counts_;
 };
 

@@ -3,7 +3,92 @@
 #include <bit>
 #include <cassert>
 
+#include "itemset/popcount_kernels.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PINCER_POPCNT_VARIANT 1
+#endif
+
 namespace pincer {
+
+namespace {
+
+// One word's popcount. Under GCC/Clang the builtin expands in its caller's
+// target, so each variant below gets its own instruction at every
+// optimization level (std::popcount stays an out-of-line call at -O0).
+[[gnu::always_inline]] inline size_t PopcountWord(uint64_t word) {
+#if defined(__GNUC__)
+  return static_cast<size_t>(__builtin_popcountll(word));
+#else
+  return static_cast<size_t>(std::popcount(word));
+#endif
+}
+
+// The two loop bodies, inlined into every variant.
+[[gnu::always_inline]] inline size_t CountBody(const uint64_t* words,
+                                               size_t n) {
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) total += PopcountWord(words[i]);
+  return total;
+}
+
+[[gnu::always_inline]] inline size_t IntersectionCountBody(
+    const uint64_t* a, const uint64_t* b, size_t n) {
+  // Four independent accumulators break the loop's serial dependence on
+  // one sum. Integer addition is associative, so the result is the scalar
+  // loop's for any word count.
+  size_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    t0 += PopcountWord(a[i] & b[i]);
+    t1 += PopcountWord(a[i + 1] & b[i + 1]);
+    t2 += PopcountWord(a[i + 2] & b[i + 2]);
+    t3 += PopcountWord(a[i + 3] & b[i + 3]);
+  }
+  for (; i < n; ++i) t0 += PopcountWord(a[i] & b[i]);
+  return t0 + t1 + t2 + t3;
+}
+
+size_t CountPortable(const uint64_t* words, size_t n) {
+  return CountBody(words, n);
+}
+
+size_t IntersectionCountPortable(const uint64_t* a, const uint64_t* b,
+                                 size_t n) {
+  return IntersectionCountBody(a, b, n);
+}
+
+#ifdef PINCER_POPCNT_VARIANT
+[[gnu::target("popcnt")]] size_t CountPopcnt(const uint64_t* words,
+                                             size_t n) {
+  return CountBody(words, n);
+}
+
+[[gnu::target("popcnt")]] size_t IntersectionCountPopcnt(const uint64_t* a,
+                                                         const uint64_t* b,
+                                                         size_t n) {
+  return IntersectionCountBody(a, b, n);
+}
+#endif
+
+}  // namespace
+
+std::vector<PopcountKernel> SupportedPopcountKernels() {
+  std::vector<PopcountKernel> kernels = {
+      {"portable", &CountPortable, &IntersectionCountPortable}};
+#ifdef PINCER_POPCNT_VARIANT
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("popcnt")) {
+    kernels.push_back({"popcnt", &CountPopcnt, &IntersectionCountPopcnt});
+  }
+#endif
+  return kernels;
+}
+
+const PopcountKernel& ActivePopcountKernel() {
+  static const PopcountKernel kActive = SupportedPopcountKernels().back();
+  return kActive;
+}
 
 DynamicBitset::DynamicBitset(size_t num_bits)
     : num_bits_(num_bits), words_((num_bits + kBitsPerWord - 1) / kBitsPerWord, 0) {}
@@ -39,9 +124,7 @@ bool DynamicBitset::Test(size_t index) const {
 }
 
 size_t DynamicBitset::Count() const {
-  size_t total = 0;
-  for (uint64_t word : words_) total += std::popcount(word);
-  return total;
+  return ActivePopcountKernel().count(words_.data(), words_.size());
 }
 
 bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
@@ -84,23 +167,8 @@ DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
 
 size_t DynamicBitset::IntersectionCount(const DynamicBitset& other) const {
   assert(num_bits_ == other.num_bits_);
-  const uint64_t* a = words_.data();
-  const uint64_t* b = other.words_.data();
-  const size_t n = words_.size();
-  // Four independent popcount accumulators per iteration: breaks the loop's
-  // serial dependence so the compiler can vectorize / pipeline it. Integer
-  // addition is associative, so the result is bit-identical to the scalar
-  // loop for any word count.
-  size_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    t0 += std::popcount(a[i] & b[i]);
-    t1 += std::popcount(a[i + 1] & b[i + 1]);
-    t2 += std::popcount(a[i + 2] & b[i + 2]);
-    t3 += std::popcount(a[i + 3] & b[i + 3]);
-  }
-  for (; i < n; ++i) t0 += std::popcount(a[i] & b[i]);
-  return t0 + t1 + t2 + t3;
+  return ActivePopcountKernel().intersection_count(
+      words_.data(), other.words_.data(), words_.size());
 }
 
 void DynamicBitset::AssignAnd(const DynamicBitset& a, const DynamicBitset& b) {

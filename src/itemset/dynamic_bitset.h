@@ -66,8 +66,10 @@ class DynamicBitset {
   /// Number of set bits in (*this & other) without materializing the
   /// intersection. Requires equal sizes. This is the hot loop of the
   /// vertical counting engine: a 4-at-a-time unrolled intersect-and-popcount
-  /// over whole words (auto-vectorizable; bit-identical to the scalar loop,
-  /// which the bitset tests verify against a per-bit reference).
+  /// over whole words. It and Count() run the POPCNT instruction where the
+  /// CPU has it and a portable loop elsewhere, picked once per process
+  /// (itemset/popcount_kernels.h); the bitset tests check every variant
+  /// against a per-bit reference.
   size_t IntersectionCount(const DynamicBitset& other) const;
 
   /// Overwrites this bitset with (a & b) in one word-level pass, resizing to

@@ -92,9 +92,11 @@ Status MiningService::Init(const ServerOptions& options) {
                                                resident->fingerprint));
     resident->fingerprint.rows = resident->db.size();
     resident->fingerprint.items = resident->db.num_items();
-    // Pay every per-run setup cost a cold run pays — bitset cache, vertical
-    // index transpose — here, once, outside any query's latency.
-    resident->db.EnsureBitsets();
+    // Build the resident counter, and with it the vertical index transpose,
+    // here, once, outside any query's latency. Served queries count only
+    // through it (trie and vertical), so the per-transaction bitset cache,
+    // which only the linear backend and TransactionDatabase::Supports read,
+    // is never built.
     resident->counter = std::make_unique<AdaptiveCounter>(resident->db);
     resident->counter->set_thread_pool(pool_.get());
     databases_.push_back(std::move(resident));

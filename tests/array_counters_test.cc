@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "counting/array_counters.h"
+#include "counting/scan_budget.h"
 #include "testing/db_builder.h"
 #include "util/thread_pool.h"
 
@@ -93,23 +96,35 @@ TEST(CountSingletons, PooledScanMatchesSerial) {
 }
 
 TEST(PairCountMatrix, PooledScanMatchesSerial) {
-  RandomDbParams params;
-  params.num_items = 10;
-  params.num_transactions = 200;
-  params.seed = 14;
-  const TransactionDatabase db = MakeRandomDatabase(params);
-  std::vector<ItemId> all_items;
-  for (ItemId i = 0; i < 10; ++i) all_items.push_back(i);
-  PairCountMatrix serial(all_items);
-  serial.CountDatabase(db);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(threads);
-    PairCountMatrix pooled(all_items);
-    pooled.CountDatabase(db, &pool);
-    for (ItemId a = 0; a < 10; ++a) {
-      for (ItemId b = a + 1; b < 10; ++b) {
-        ASSERT_EQ(pooled.PairCount(a, b), serial.PairCount(a, b))
-            << threads << " threads, pair {" << a << "," << b << "}";
+  // The second database spans more than two budget slices, so the scans
+  // given a (non-expiring) budget walk every chunk longer than
+  // kScanAbortCheckRows slice by slice: three slices with no pool or one
+  // thread, two chunks of two slices at two threads.
+  for (const size_t rows : {size_t{200}, 2 * kScanAbortCheckRows + 123}) {
+    RandomDbParams params;
+    params.num_items = 10;
+    params.num_transactions = rows;
+    params.seed = 14;
+    const TransactionDatabase db = MakeRandomDatabase(params);
+    std::vector<ItemId> all_items;
+    for (ItemId i = 0; i < 10; ++i) all_items.push_back(i);
+    PairCountMatrix serial(all_items);
+    serial.CountDatabase(db);
+    // 0 threads stands for no pool: the serial scan, sliced by the budget.
+    for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
+      std::optional<ThreadPool> pool;
+      if (threads > 0) pool.emplace(threads);
+      ScanBudget budget(/*budget_ms=*/3'600'000.0);
+      PairCountMatrix pooled(all_items);
+      pooled.CountDatabase(db, pool ? &*pool : nullptr,
+                           rows > kScanAbortCheckRows ? &budget : nullptr);
+      ASSERT_FALSE(budget.exceeded());
+      for (ItemId a = 0; a < 10; ++a) {
+        for (ItemId b = a + 1; b < 10; ++b) {
+          ASSERT_EQ(pooled.PairCount(a, b), serial.PairCount(a, b))
+              << rows << " rows, " << threads << " threads, pair {" << a
+              << "," << b << "}";
+        }
       }
     }
   }

@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "itemset/dynamic_bitset.h"
+#include "itemset/popcount_kernels.h"
+#include "util/prng.h"
 
 namespace pincer {
 namespace {
+
+// Set bits of `word`, one bit at a time.
+size_t PerBitCount(uint64_t word) {
+  size_t count = 0;
+  for (size_t bit = 0; bit < 64; ++bit) count += (word >> bit) & 1;
+  return count;
+}
 
 TEST(DynamicBitset, StartsAllZero) {
   const DynamicBitset bits(100);
@@ -129,20 +141,72 @@ TEST(DynamicBitset, AssignAndMatchesCopyThenAnd) {
 }
 
 TEST(DynamicBitset, IntersectionCountMatchesScalarReference) {
-  // The 4-at-a-time unrolled kernel must agree bit for bit with a
-  // per-position reference on awkward sizes (tail of 1-3 words, dense and
-  // sparse patterns).
-  for (const size_t size : {5u, 64u, 65u, 192u, 250u, 449u}) {
-    DynamicBitset a(size), b(size);
-    for (size_t i = 0; i < size; i += 2) a.Set(i);
-    for (size_t i = 0; i < size; i += 3) b.Set(i);
-    size_t expected = 0;
-    for (size_t i = 0; i < size; ++i) {
-      if (a.Test(i) && b.Test(i)) ++expected;
+  // Every word-loop variant this host runs (the portable loop, and POPCNT
+  // where the CPU has it) must agree with a per-bit reference, for Count
+  // and IntersectionCount, at random densities and at word counts that
+  // leave a 0-3-word tail after the 4-way unrolled body.
+  const std::vector<PopcountKernel> kernels = SupportedPopcountKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "portable");
+  Prng rng(131);
+  for (const size_t num_words :
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 63u, 64u, 65u, 66u, 67u, 257u,
+        258u, 259u, 300u, 517u}) {
+    for (const double density : {0.0, 0.03, 0.5, 0.97, 1.0}) {
+      std::vector<uint64_t> a(num_words, 0), b(num_words, 0);
+      for (size_t w = 0; w < num_words; ++w) {
+        for (size_t bit = 0; bit < 64; ++bit) {
+          if (rng.Bernoulli(density)) a[w] |= uint64_t{1} << bit;
+          if (rng.Bernoulli(density)) b[w] |= uint64_t{1} << bit;
+        }
+      }
+      size_t count_a = 0, count_ab = 0;
+      for (size_t w = 0; w < num_words; ++w) {
+        count_a += PerBitCount(a[w]);
+        count_ab += PerBitCount(a[w] & b[w]);
+      }
+      for (const PopcountKernel& kernel : kernels) {
+        SCOPED_TRACE(::testing::Message() << kernel.name << ", " << num_words
+                                          << " words, density " << density);
+        EXPECT_EQ(kernel.count(a.data(), num_words), count_a);
+        EXPECT_EQ(kernel.intersection_count(a.data(), b.data(), num_words),
+                  count_ab);
+        EXPECT_EQ(kernel.intersection_count(b.data(), a.data(), num_words),
+                  count_ab);
+      }
     }
-    EXPECT_EQ(a.IntersectionCount(b), expected) << size;
-    EXPECT_EQ(b.IntersectionCount(a), expected) << size;
   }
+  // The same through DynamicBitset's active variant, on bit sizes with and
+  // without a partial last word.
+  for (const size_t size : {0u, 5u, 64u, 65u, 192u, 250u, 449u, 19217u}) {
+    DynamicBitset a(size), b(size);
+    for (size_t i = 0; i < size; ++i) {
+      if (rng.Bernoulli(0.4)) a.Set(i);
+      if (rng.Bernoulli(0.6)) b.Set(i);
+    }
+    size_t expected_a = 0, expected_ab = 0;
+    for (size_t i = 0; i < size; ++i) {
+      if (a.Test(i)) ++expected_a;
+      if (a.Test(i) && b.Test(i)) ++expected_ab;
+    }
+    EXPECT_EQ(a.Count(), expected_a) << size;
+    EXPECT_EQ(a.IntersectionCount(b), expected_ab) << size;
+    EXPECT_EQ(b.IntersectionCount(a), expected_ab) << size;
+  }
+}
+
+TEST(DynamicBitset, UsesThePopcntVariantWhereverTheCpuHasIt) {
+  // A build that fell back to the portable loop on a POPCNT CPU would count
+  // through one libgcc call per word, several times slower, with the same
+  // answers: only this pin would notice.
+  bool cpu_has_popcnt = false;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  cpu_has_popcnt = __builtin_cpu_supports("popcnt");
+#endif
+  EXPECT_STREQ(ActivePopcountKernel().name,
+               cpu_has_popcnt ? "popcnt" : "portable");
+  EXPECT_EQ(SupportedPopcountKernels().size(), cpu_has_popcnt ? 2u : 1u);
 }
 
 TEST(DynamicBitset, Equality) {

@@ -1,11 +1,16 @@
 // Google-benchmark microbenchmarks of the itemset algebra and the MFCS-gen
-// update — the per-pass CPU building blocks of the Pincer loop.
+// update — the per-pass CPU building blocks of the Pincer loop — and of
+// writing an MFS as JSON, what the daemon does once per answer.
 
 #include <benchmark/benchmark.h>
+
+#include <sstream>
 
 #include "apriori/apriori_gen.h"
 #include "core/mfcs.h"
 #include "itemset/itemset_ops.h"
+#include "mining/frequent_itemset.h"
+#include "util/json_writer.h"
 #include "util/prng.h"
 
 namespace pincer {
@@ -94,6 +99,41 @@ void BM_MfcsGenPairBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MfcsGenPairBatch)->Arg(8)->Arg(32)->Unit(
     benchmark::kMillisecond);
+
+void BM_JsonWriterMfs(benchmark::State& state) {
+  // A served answer's shape: 3,000 maximal itemsets of 1-11 items over
+  // 1,000 items, written as a response's compact mfs array.
+  Prng prng(6);
+  std::vector<FrequentItemset> mfs;
+  for (size_t k = 1; mfs.size() < 3000; k = k % 11 + 1) {
+    mfs.push_back({RandomKItemsets(1, k, 1000, prng.NextUint64())[0],
+                   100 + prng.UniformUint64(10000)});
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    JsonWriter json(os, 0);
+    json.BeginArray();
+    for (const FrequentItemset& fi : mfs) {
+      json.BeginObject();
+      json.KeyValue("support", fi.support);
+      json.Key("items").BeginArray();
+      for (const ItemId item : fi.itemset) {
+        json.Value(static_cast<uint64_t>(item));
+      }
+      json.EndArray();
+      json.EndObject();
+    }
+    json.EndArray();
+    bytes = static_cast<size_t>(os.tellp());
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.SetLabel(std::to_string(mfs.size()) + " itemsets, " +
+                 std::to_string(bytes / 1024) + " KB");
+}
+BENCHMARK(BM_JsonWriterMfs)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pincer

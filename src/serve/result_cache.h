@@ -1,7 +1,9 @@
 // Result cache for the mining daemon: completed (non-aborted) runs are
 // stored under a key derived from the database fingerprint plus the
 // checkpoint layer's options fingerprint, so a repeat query is answered
-// without touching the counting layer at all. A second, cheaper path covers
+// without touching the counting layer at all. An entry keeps its answer as
+// JSON text too, so serving it again copies bytes instead of walking the
+// itemsets. A second, cheaper path covers
 // the common "same query, stricter support" case: a query at a strictly
 // higher min_support than a cached run is answered by filtering the cached
 // MFS downward and re-validating supports against the run's SupportTable —
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "mining/frequent_itemset.h"
-#include "mining/mining_stats.h"
 #include "mining/support_table.h"
 
 namespace pincer {
@@ -55,8 +56,14 @@ class ResultCache {
     std::string family;
     double min_support = 0;
     uint64_t min_count = 0;
+    /// The answer's itemsets: what the filter path descends from.
     std::vector<FrequentItemset> mfs;
-    MiningStats stats;
+    /// `mfs` as the response's compact JSON array, written once when the
+    /// entry is made; every response that serves the entry copies it.
+    std::string mfs_json;
+    /// The originating run's stats object as compact JSON. Entries derived
+    /// by the filter path share their base entry's text.
+    std::shared_ptr<const std::string> stats_json;
     /// The originating run's counted supports, read without a lock.
     /// Entries derived by the filter path share their base entry's table
     /// (shared_ptr keeps it alive past the base's eviction), so they can

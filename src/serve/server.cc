@@ -92,6 +92,7 @@ Status MiningService::Init(const ServerOptions& options) {
                                                resident->fingerprint));
     resident->fingerprint.rows = resident->db.size();
     resident->fingerprint.items = resident->db.num_items();
+    resident->cache_key = DatabaseKey(resident->fingerprint);
     // Build the resident counter, and with it the vertical index transpose,
     // here, once, outside any query's latency. Served queries count only
     // through it (trie and vertical), so the per-transaction bitset cache,
@@ -163,15 +164,43 @@ std::string MiningService::HandleList(const Request& request) {
 
 namespace {
 
-// The full mine response. `stats` is always the stats of the mining run
-// that produced (or originally produced) the MFS; `query_counting` is the
-// counting work THIS query did — all zeros on a cache hit or filter, which
-// is the serving layer's core claim and what the integration tests pin.
+// The compact JSON array a mine response carries as "mfs".
+std::string MfsJson(const std::vector<FrequentItemset>& mfs) {
+  std::ostringstream os;
+  JsonWriter json(os, /*indent=*/0);
+  json.BeginArray();
+  for (const FrequentItemset& fi : mfs) {
+    json.BeginObject();
+    json.KeyValue("support", fi.support);
+    json.Key("items").BeginArray();
+    for (const ItemId item : fi.itemset) {
+      json.Value(static_cast<uint64_t>(item));
+    }
+    json.EndArray();
+    json.EndObject();
+  }
+  json.EndArray();
+  return os.str();
+}
+
+// The compact JSON object a mine response carries as "stats".
+std::shared_ptr<const std::string> StatsJson(const MiningStats& stats) {
+  std::ostringstream os;
+  JsonWriter json(os, /*indent=*/0);
+  stats.ToJson(json);
+  return std::make_shared<const std::string>(os.str());
+}
+
+// The full mine response. `answer` holds the MFS and the stats of the
+// mining run that produced (or originally produced) it, both already
+// serialized, so every response serving it splices the same bytes;
+// `query_counting` is the counting work THIS query did — all zeros on a
+// cache hit or filter, which is the serving layer's core claim and what
+// the integration tests pin.
 std::string MineResponse(const Request& request, std::string_view database,
                          size_t num_transactions, size_t num_items,
-                         uint64_t min_count, std::string_view cache,
-                         const std::vector<FrequentItemset>& mfs,
-                         const MiningStats& stats,
+                         std::string_view cache,
+                         const ResultCache::Entry& answer,
                          const CountingMetrics& query_counting,
                          double query_elapsed_ms) {
   std::ostringstream os;
@@ -185,30 +214,18 @@ std::string MineResponse(const Request& request, std::string_view database,
   json.KeyValue("database", database);
   json.KeyValue("algorithm", AlgorithmName(request.algorithm));
   json.KeyValue("min_support", request.min_support);
-  json.KeyValue("min_count", min_count);
+  json.KeyValue("min_count", answer.min_count);
   json.KeyValue("cache", cache);
   json.KeyValue("num_transactions", static_cast<uint64_t>(num_transactions));
   json.KeyValue("num_items", static_cast<uint64_t>(num_items));
-  json.KeyValue("mfs_size", static_cast<uint64_t>(mfs.size()));
-  json.Key("mfs").BeginArray();
-  for (const FrequentItemset& fi : mfs) {
-    json.BeginObject();
-    json.KeyValue("support", fi.support);
-    json.Key("items").BeginArray();
-    for (const ItemId item : fi.itemset) {
-      json.Value(static_cast<uint64_t>(item));
-    }
-    json.EndArray();
-    json.EndObject();
-  }
-  json.EndArray();
+  json.KeyValue("mfs_size", static_cast<uint64_t>(answer.mfs.size()));
+  json.Key("mfs").RawValue(answer.mfs_json);
   json.Key("query").BeginObject();
   json.KeyValue("elapsed_ms", query_elapsed_ms);
   json.Key("counting");
   query_counting.ToJson(json);
   json.EndObject();
-  json.Key("stats");
-  stats.ToJson(json);
+  json.Key("stats").RawValue(*answer.stats_json);
   json.EndObject();
   return os.str();
 }
@@ -252,14 +269,13 @@ std::string MiningService::HandleMine(const Request& request) {
       CheckpointAlgorithmId(request.algorithm);
   const size_t combine_threshold =
       CheckpointCombineThreshold(request.algorithm);
-  const std::string db_key = DatabaseKey(resident->fingerprint);
   const std::string key =
-      db_key + "|" +
+      resident->cache_key + "|" +
       OptionsFingerprint(effective, algorithm_id, combine_threshold);
   MiningOptions family_options = effective;
   family_options.min_support = 0;
   const std::string family =
-      db_key + "|" +
+      resident->cache_key + "|" +
       OptionsFingerprint(family_options, algorithm_id, combine_threshold);
   const uint64_t min_count =
       resident->db.MinSupportCount(request.min_support);
@@ -275,9 +291,8 @@ std::string MiningService::HandleMine(const Request& request) {
     }
     if (exact != nullptr) {
       return MineResponse(request, resident->name, resident->db.size(),
-                          resident->db.num_items(), min_count, "hit",
-                          exact->mfs, exact->stats, kNoCounting,
-                          query_timer.ElapsedMillis());
+                          resident->db.num_items(), "hit", *exact,
+                          kNoCounting, query_timer.ElapsedMillis());
     }
     if (base != nullptr) {
       // A run at a lower threshold is cached: try answering by filtering
@@ -292,16 +307,16 @@ std::string MiningService::HandleMine(const Request& request) {
         derived->min_support = request.min_support;
         derived->min_count = min_count;
         derived->mfs = std::move(*filtered);
-        derived->stats = base->stats;
+        derived->mfs_json = MfsJson(derived->mfs);
+        derived->stats_json = base->stats_json;
         derived->supports = base->supports;
         {
           MutexLock lock(cache_mu_);
           cache_->Insert(derived);
         }
         return MineResponse(request, resident->name, resident->db.size(),
-                            resident->db.num_items(), min_count, "filter",
-                            derived->mfs, derived->stats, kNoCounting,
-                            query_timer.ElapsedMillis());
+                            resident->db.num_items(), "filter", *derived,
+                            kNoCounting, query_timer.ElapsedMillis());
       }
     }
   }
@@ -318,9 +333,8 @@ std::string MiningService::HandleMine(const Request& request) {
     }
     if (exact != nullptr) {
       return MineResponse(request, resident->name, resident->db.size(),
-                          resident->db.num_items(), min_count, "hit",
-                          exact->mfs, exact->stats, kNoCounting,
-                          query_timer.ElapsedMillis());
+                          resident->db.num_items(), "hit", *exact,
+                          kNoCounting, query_timer.ElapsedMillis());
     }
   }
 
@@ -333,27 +347,29 @@ std::string MiningService::HandleMine(const Request& request) {
   result.stats.rows_skipped += resident->rows_skipped;
   result.stats.rows_dropped_items += resident->db.num_dropped_items();
 
+  // The run is serialized once. A cacheable answer becomes the entry that
+  // later hits and filters serve; either way the response is built from it.
+  auto answer = std::make_shared<ResultCache::Entry>();
+  answer->key = key;
+  answer->family = family;
+  answer->min_support = request.min_support;
+  answer->min_count = min_count;
+  answer->mfs = std::move(result.mfs);
+  answer->mfs_json = MfsJson(answer->mfs);
+  answer->stats_json = StatsJson(result.stats);
   if (!request.no_cache && !result.stats.aborted) {
-    auto entry = std::make_shared<ResultCache::Entry>();
-    entry->key = key;
-    entry->family = family;
-    entry->min_support = request.min_support;
-    entry->min_count = min_count;
-    entry->mfs = result.mfs;
-    entry->stats = result.stats;
     // The filter path's supports: one copy of the run's table, made once.
     // Moving it instead keeps the run's nodes alive scattered among its
     // freed temporaries, which fragments the heap the session serves its
     // next answers from: on an idle daemon, the slowest tenth of hits ran
     // 10-20% slower.
-    entry->supports = std::make_shared<const SupportTable>(result.supports);
+    answer->supports = std::make_shared<const SupportTable>(result.supports);
     MutexLock lock(cache_mu_);
-    cache_->Insert(std::move(entry));
+    cache_->Insert(answer);
   }
   return MineResponse(request, resident->name, resident->db.size(),
-                      resident->db.num_items(), min_count, "miss", result.mfs,
-                      result.stats, result.stats.counting,
-                      query_timer.ElapsedMillis());
+                      resident->db.num_items(), "miss", *answer,
+                      result.stats.counting, query_timer.ElapsedMillis());
 }
 
 Status Server::ListenUnix(const std::string& path) {

@@ -1,5 +1,5 @@
 // The mining daemon: loads basket databases once, keeps them resident
-// (horizontal rows + bitsets + the adaptive counter's vertical index), and
+// (horizontal rows + the adaptive counter's vertical index), and
 // answers newline-delimited JSON mining queries over a Unix-domain or
 // loopback TCP socket. Split in two so the protocol logic is testable
 // without sockets:
@@ -71,9 +71,8 @@ class MiningService {
   MiningService& operator=(const MiningService&) = delete;
 
   /// Loads every database (rejecting duplicate names), builds the resident
-  /// counters and bitset caches, and sizes the pool and cache. All the
-  /// per-run setup cost a cold mine_cli pays (vertical-index transpose,
-  /// bitset build) is paid here, once.
+  /// counters, and sizes the pool and cache. The per-run setup cost a cold
+  /// mine_cli pays (the vertical-index transpose) is paid here, once.
   Status Init(const ServerOptions& options);
 
   /// Maps one request line to one single-line JSON response. Never throws
@@ -92,6 +91,8 @@ class MiningService {
     std::string name;
     TransactionDatabase db;
     DatabaseFingerprint fingerprint;
+    /// The fingerprint's part of every cache key for this database.
+    std::string cache_key;
     uint64_t rows_skipped = 0;
     /// Every query counts through this counter (backend=auto) — the
     /// per-pass horizontal/vertical pick still applies per query.

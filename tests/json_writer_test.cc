@@ -183,5 +183,129 @@ TEST(JsonWriterTest, KeysPreserveInsertionOrder) {
   EXPECT_EQ(doc->object[2].first, "m");
 }
 
+TEST(JsonWriterTest, RawValueSplicesInObjectAndArrayPositionsCompact) {
+  const std::string text = Emit(
+      [](JsonWriter& j) {
+        j.BeginObject()
+            .KeyValue("a", 1)
+            .Key("raw")
+            .RawValue(R"({"x":[1,2]})")
+            .Key("list")
+            .BeginArray()
+            .RawValue("[]")
+            .Value(2)
+            .RawValue(R"("s")")
+            .EndArray()
+            .Key("last")
+            .RawValue("null")
+            .EndObject();
+      },
+      /*indent=*/0);
+  EXPECT_EQ(text,
+            R"({"a":1,"raw":{"x":[1,2]},"list":[[],2,"s"],"last":null})");
+}
+
+TEST(JsonWriterTest, RawValueSplicesInObjectAndArrayPositionsIndented) {
+  // The writer indents up to the value and keeps the value's own bytes.
+  const std::string text = Emit([](JsonWriter& j) {
+    j.BeginObject()
+        .Key("raw")
+        .RawValue(R"({"x":1})")
+        .Key("list")
+        .BeginArray()
+        .RawValue("[1,2]")
+        .RawValue("3")
+        .EndArray()
+        .EndObject();
+  });
+  EXPECT_EQ(text,
+            "{\n"
+            "  \"raw\": {\"x\":1},\n"
+            "  \"list\": [\n"
+            "    [1,2],\n"
+            "    3\n"
+            "  ]\n"
+            "}");
+}
+
+TEST(JsonWriterTest, RawValueEqualsTheSameValueWrittenInPlace) {
+  // The daemon's use: a value serialized once by its own compact writer,
+  // then spliced, gives the bytes of writing it in place.
+  const auto write_mfs = [](JsonWriter& j) {
+    j.BeginArray();
+    for (uint64_t support : {7, 5}) {
+      j.BeginObject().KeyValue("support", support);
+      j.Key("items").BeginArray().Value(support).Value(9).EndArray();
+      j.EndObject();
+    }
+    j.EndArray();
+  };
+  std::ostringstream mfs;
+  {
+    JsonWriter json(mfs, 0);
+    write_mfs(json);
+  }
+  std::ostringstream spliced;
+  JsonWriter splicer(spliced, 0);
+  splicer.BeginObject().KeyValue("n", 2).Key("mfs").RawValue(mfs.str());
+  splicer.KeyValue("after", true).EndObject();
+  std::ostringstream in_place;
+  JsonWriter writer(in_place, 0);
+  writer.BeginObject().KeyValue("n", 2).Key("mfs");
+  write_mfs(writer);
+  writer.KeyValue("after", true).EndObject();
+  EXPECT_EQ(spliced.str(), in_place.str());
+}
+
+TEST(JsonWriterTest, CallerWriteAfterAFinishedDocumentLandsAfterIt) {
+  // mine_cli and the bench helper end a document with `out << "\n"` while
+  // the writer is still in scope.
+  std::ostringstream os;
+  JsonWriter json(os, 0);
+  json.BeginObject().KeyValue("a", 1).EndObject();
+  os << "\n";
+  EXPECT_EQ(os.str(), "{\"a\":1}\n");
+}
+
+TEST(JsonWriterTest, TwoTopLevelDocumentsBackToBack) {
+  std::ostringstream os;
+  JsonWriter json(os, 0);
+  json.BeginObject().KeyValue("a", 1).EndObject();
+  os << "\n";
+  json.BeginArray().Value("b").EndArray();
+  os << "\n";
+  EXPECT_EQ(os.str(), "{\"a\":1}\n[\"b\"]\n");
+}
+
+TEST(JsonWriterTest, DestroyedInsideAnOpenContainerWritesAllItWasGiven) {
+  std::ostringstream os;
+  {
+    JsonWriter json(os, 0);
+    json.BeginObject().KeyValue("a", 1).Key("list").BeginArray().Value(2);
+  }
+  EXPECT_EQ(os.str(), R"({"a":1,"list":[2)");
+}
+
+TEST(JsonWriterTest, DocumentLargerThanTheFlushThresholdIsWhole) {
+  // Enough items to hand the buffer to the stream several times mid-array;
+  // the result must equal the same document assembled by hand.
+  std::ostringstream os;
+  std::string expected = "{\"items\":[";
+  {
+    JsonWriter json(os, 0);
+    json.BeginObject().Key("items").BeginArray();
+    for (uint64_t i = 0; expected.size() < 4 * JsonWriter::kFlushBytes; ++i) {
+      json.BeginObject().KeyValue("i", i).KeyValue("s", "a\"b").EndObject();
+      if (i > 0) expected += ',';
+      expected += "{\"i\":" + std::to_string(i) + ",\"s\":\"a\\\"b\"}";
+    }
+    // No more than the threshold and one item is held back mid-document.
+    EXPECT_GE(os.str().size(), 3 * JsonWriter::kFlushBytes);
+    json.EndArray().EndObject();
+  }
+  expected += "]}";
+  EXPECT_EQ(os.str(), expected);
+}
+
 }  // namespace
 }  // namespace pincer

@@ -86,6 +86,22 @@ std::string MineLine(const std::string& database, double min_support,
   return os.str();
 }
 
+// Sections of a mine response's text, for byte comparisons between
+// responses that must differ only in the cache tag and the query's timing:
+// the header up to "cache", the mfs array, and the stats object.
+std::string ResponsePrefix(const std::string& response) {
+  return response.substr(0, response.find("\"cache\""));
+}
+
+std::string MfsSection(const std::string& response) {
+  const size_t begin = response.find("\"mfs\"");
+  return response.substr(begin, response.find("\"query\"") - begin);
+}
+
+std::string StatsSuffix(const std::string& response) {
+  return response.substr(response.find("\"stats\""));
+}
+
 class ServeServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -167,37 +183,38 @@ TEST_F(ServeServiceTest, RepeatQueryHitsWithZeroCountingWork) {
   EXPECT_EQ(scanned->AsUint64(), 0u);
 
   // Byte identity everywhere except the cache tag and this query's timing:
-  // the header + mfs prefix and the originating run's stats suffix must
+  // the header, the mfs array and the originating run's stats suffix must
   // match the miss response exactly.
-  const auto prefix = [](const std::string& s) {
-    return s.substr(0, s.find("\"cache\""));
-  };
-  const auto stats_suffix = [](const std::string& s) {
-    return s.substr(s.find("\"stats\""));
-  };
   ASSERT_NE(first.find("\"stats\""), std::string::npos);
-  EXPECT_EQ(prefix(first), prefix(second));
-  EXPECT_EQ(stats_suffix(first), stats_suffix(second));
-  const auto mfs_section = [](const std::string& s) {
-    const size_t begin = s.find("\"mfs\"");
-    return s.substr(begin, s.find("\"query\"") - begin);
-  };
-  EXPECT_EQ(mfs_section(first), mfs_section(second));
+  EXPECT_EQ(ResponsePrefix(first), ResponsePrefix(second));
+  EXPECT_EQ(MfsSection(first), MfsSection(second));
+  EXPECT_EQ(StatsSuffix(first), StatsSuffix(second));
 }
 
 TEST_F(ServeServiceTest, StricterAprioriQueryIsServedByTheFilterPath) {
   // Apriori's checkpoint holds the complete frequent set, so the stricter
   // query must be answered without mining — and still match a cold run.
-  ASSERT_TRUE(OkOf(Handle(MineLine("quest", 0.05, "apriori"))));
-  const JsonValue stricter = Handle(MineLine("quest", 0.15, "apriori"));
+  const std::string base =
+      service_->HandleLine(MineLine("quest", 0.05, "apriori"));
+  ASSERT_TRUE(OkOf(*ParseJson(base)));
+  const std::string filter_text =
+      service_->HandleLine(MineLine("quest", 0.15, "apriori"));
+  const JsonValue stricter = *ParseJson(filter_text);
   ASSERT_TRUE(OkOf(stricter));
   EXPECT_EQ(CacheOf(stricter), "filter");
   EXPECT_EQ(QueryCountCalls(stricter), 0u);
   EXPECT_EQ(MfsOf(stricter), ColdMine(0.15, Algorithm::kApriori).mfs);
+  // A derived answer carries its base run's stats, byte for byte.
+  EXPECT_EQ(StatsSuffix(filter_text), StatsSuffix(base));
 
   // The derived entry is cached: repeating the stricter query is now an
-  // exact hit.
-  EXPECT_EQ(CacheOf(Handle(MineLine("quest", 0.15, "apriori"))), "hit");
+  // exact hit, with the filter response's bytes outside cache and query.
+  const std::string hit_text =
+      service_->HandleLine(MineLine("quest", 0.15, "apriori"));
+  EXPECT_EQ(CacheOf(*ParseJson(hit_text)), "hit");
+  EXPECT_EQ(ResponsePrefix(hit_text), ResponsePrefix(filter_text));
+  EXPECT_EQ(MfsSection(hit_text), MfsSection(filter_text));
+  EXPECT_EQ(StatsSuffix(hit_text), StatsSuffix(filter_text));
 }
 
 TEST_F(ServeServiceTest, StricterPincerQueryIsCorrectHoweverServed) {
@@ -356,6 +373,37 @@ TEST_F(ServeServiceTest, ConcurrentSessionsAllGetColdIdenticalAnswers) {
       ASSERT_TRUE(OkOf(*parsed)) << responses[t * kSessionsPerThreshold + s];
       EXPECT_EQ(MfsOf(*parsed), cold[t].mfs)
           << "threshold " << thresholds[t] << " session " << s;
+    }
+  }
+}
+
+TEST_F(ServeServiceTest, ConcurrentHitsOnOneEntryReturnIdenticalBytes) {
+  // Every session reads the one cached entry's text at once; each copy
+  // must be whole and equal to the answer the miss returned.
+  const std::string line = MineLine("quest", 0.08, "pincer-adaptive");
+  const std::string miss = service_->HandleLine(line);
+  ASSERT_EQ(CacheOf(*ParseJson(miss)), "miss");
+
+  constexpr size_t kSessions = 6;
+  constexpr size_t kHitsPerSession = 20;
+  std::vector<std::vector<std::string>> responses(kSessions);
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&, s] {
+      for (size_t i = 0; i < kHitsPerSession; ++i) {
+        responses[s].push_back(service_->HandleLine(line));
+      }
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+
+  for (size_t s = 0; s < kSessions; ++s) {
+    ASSERT_EQ(responses[s].size(), kHitsPerSession);
+    for (const std::string& response : responses[s]) {
+      ASSERT_EQ(CacheOf(*ParseJson(response)), "hit") << "session " << s;
+      EXPECT_EQ(ResponsePrefix(response), ResponsePrefix(miss));
+      EXPECT_EQ(MfsSection(response), MfsSection(miss)) << "session " << s;
+      EXPECT_EQ(StatsSuffix(response), StatsSuffix(miss));
     }
   }
 }

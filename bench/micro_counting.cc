@@ -16,6 +16,7 @@
 #include "counting/counter_factory.h"
 #include "counting/streaming_counter.h"
 #include "data/database_io.h"
+#include "data/vertical_index.h"
 #include "gen/quest_gen.h"
 #include "itemset/popcount_kernels.h"
 #include "mining/miner.h"
@@ -154,6 +155,26 @@ void BM_PassTwoTriangularMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PassTwoTriangularMatrix)->Unit(benchmark::kMillisecond);
+
+// The same triangle filled from the vertical index, one tidset intersection
+// per pair: what pass 2 runs where PairFillPrefersIndex picks it. The label
+// says whether it would for this database.
+void BM_PassTwoIndexFill(benchmark::State& state) {
+  const TransactionDatabase& db = BenchDb();
+  const VerticalIndex index(db);
+  const std::vector<uint64_t> supports = CountSingletons(db);
+  std::vector<ItemId> items;
+  for (ItemId i = 0; i < db.num_items(); ++i) items.push_back(i);
+  for (auto _ : state) {
+    PairCountMatrix matrix(items);
+    matrix.CountIndex(index);
+    benchmark::DoNotOptimize(matrix);
+  }
+  state.SetLabel(PairFillPrefersIndex(db.size(), supports)
+                     ? "picked over the scan"
+                     : "the scan is picked");
+}
+BENCHMARK(BM_PassTwoIndexFill)->Unit(benchmark::kMillisecond);
 
 // The vertical kernel alone: one intersect-and-popcount of two 100K-bit
 // tidsets (the row count of the Figure-3 databases), once per word-loop

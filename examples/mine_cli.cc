@@ -6,8 +6,8 @@
 //     --algorithm=pincer-adaptive
 //                                apriori | apriori-combined | pincer |
 //                                pincer-adaptive
-//     --backend=trie             trie | hash_tree | linear | vertical |
-//                                auto (auto picks trie or vertical per
+//     --backend=auto             auto | trie | hash_tree | linear |
+//                                vertical (auto picks trie or vertical per
 //                                pass from a deterministic cost model; the
 //                                pick lands in the stats as per-pass
 //                                backend_used)
@@ -58,7 +58,7 @@ int Usage(const char* argv0) {
             << " <database.basket> [--min-support=F] "
                "[--algorithm=apriori|apriori-combined|pincer|"
                "pincer-adaptive] "
-               "[--backend=trie|hash_tree|linear|vertical|auto] "
+               "[--backend=auto|trie|hash_tree|linear|vertical] "
                "[--threads=N] "
                "[--rules=MIN_CONFIDENCE] [--stats] [--stats-json=FILE] "
                "[--malformed=strict|skip] [--checkpoint=FILE] [--resume]\n";
@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   }
 
   MiningOptions options;
+  // The engine the daemon and the shard workers count with.
+  options.backend = CounterBackend::kAuto;
   DatabaseReadOptions read_options;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
   double min_confidence = -1.0;

@@ -88,8 +88,14 @@ StatusOr<FrequentSetResult> AprioriRun(const TransactionDatabase& db,
 
       std::vector<Itemset> l2;
       if (options.use_array_fast_path) {
+        // Until pass 2 books its pairs, the frequent set is L_1.
+        std::vector<uint64_t> supports;
+        supports.reserve(result.frequent.size());
+        for (const FrequentItemset& fi : result.frequent) {
+          supports.push_back(fi.support);
+        }
         PairCountMatrix matrix(frequent_items);
-        if (!run.CountPairs(matrix, pass)) return finish();
+        if (!run.CountPairs(matrix, supports, pass)) return finish();
         for (size_t i = 0; i < frequent_items.size(); ++i) {
           for (size_t j = i + 1; j < frequent_items.size(); ++j) {
             const uint64_t count =

@@ -84,8 +84,14 @@ StatusOr<FrequentSetResult> AprioriCombinedRun(
       frequent_items.reserve(lk.size());
       for (const Itemset& single : lk) frequent_items.push_back(single[0]);
       pass.num_candidates = lk.size() * (lk.size() - 1) / 2;
+      // Until pass 2 books its pairs, the frequent set is L_1.
+      std::vector<uint64_t> supports;
+      supports.reserve(result.frequent.size());
+      for (const FrequentItemset& fi : result.frequent) {
+        supports.push_back(fi.support);
+      }
       PairCountMatrix matrix(frequent_items);
-      if (!run.CountPairs(matrix, pass)) return finish();
+      if (!run.CountPairs(matrix, supports, pass)) return finish();
       std::vector<Itemset> l2;
       for (size_t i = 0; i < frequent_items.size(); ++i) {
         for (size_t j = i + 1; j < frequent_items.size(); ++j) {

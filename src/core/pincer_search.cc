@@ -63,9 +63,22 @@ class PincerDriver {
                              double gen_ms);
 
   // Counts the unclassified MFCS elements with the generic backend (their
-  // lengths vary, so the array fast paths never apply), classifies them,
-  // and feeds infrequent ones to MFCS-gen. `pass` gets the accounting.
+  // lengths vary, so the array fast paths never apply) and classifies them:
+  // frequent ones migrate to the MFS, infrequent ones stay for MFCS-gen to
+  // split and are returned. `pass` gets the accounting. nullopt when there
+  // was nothing to count or the budget stopped the scan.
+  std::optional<std::vector<Itemset>> CountMfcs(PassStats& pass);
+
+  // CountMfcs, then MFCS-gen over the infrequent elements.
   void CountAndClassifyMfcs(PassStats& pass);
+
+  // Pass 1's MFCS-gen in closed form, for a run with both frequent and
+  // infrequent items: splitting the full itemset by itself and then by the
+  // infrequent singletons ends at the one element {frequent items}, so it
+  // is set directly. The §3.5 batch check and the cache resolution run as
+  // UpdateMfcs runs them.
+  void SetPassOneMfcs(const std::vector<Itemset>& frequent,
+                      size_t num_infrequent);
 
   // Classifies MFCS elements whose supports are already cached: frequent
   // elements migrate to the MFS, infrequent ones are split further. Repeats
@@ -239,18 +252,19 @@ void PincerDriver::UpdateMfcs(const std::vector<Itemset>& infrequent,
   }
 }
 
-void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
-  if (!maintain_mfcs_) return;
+std::optional<std::vector<Itemset>> PincerDriver::CountMfcs(
+    PassStats& pass) {
+  if (!maintain_mfcs_) return std::nullopt;
   // Everything cache-known was classified by ResolveMfcsFromCache, so all
   // remaining elements genuinely need counting.
   std::vector<Itemset> elements = mfcs_.elements();
-  if (elements.empty()) return;
+  if (elements.empty()) return std::nullopt;
 
   // Classification only after a completed scan: an aborted scan's partial
   // counts must leave no trace.
   const std::optional<std::vector<uint64_t>> counts =
       run_.Count(elements, pass);
-  if (!counts.has_value()) return;
+  if (!counts.has_value()) return std::nullopt;
   pass.num_mfcs_candidates = elements.size();
 
   std::vector<Itemset> infrequent;
@@ -263,13 +277,36 @@ void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
       infrequent.push_back(elements[i]);
     }
   }
+  return infrequent;
+}
+
+void PincerDriver::CountAndClassifyMfcs(PassStats& pass) {
+  const std::optional<std::vector<Itemset>> infrequent = CountMfcs(pass);
+  if (!infrequent.has_value()) return;
   // Infrequent elements stay in the set: MFCS-gen matches each as its own
   // superset and replaces it with its one-item-removed subsets.
   {
     ScopedMsTimer timer(pass.mfcs_update_ms);
-    UpdateMfcs(infrequent, pass.pass);
+    UpdateMfcs(*infrequent, pass.pass);
   }
   DrainMfcsIndexTime(pass);
+}
+
+void PincerDriver::SetPassOneMfcs(const std::vector<Itemset>& frequent,
+                                  size_t num_infrequent) {
+  if (ShouldDisableForBatch(num_infrequent, frequent.size())) {
+    DisableMfcs(1);
+    return;
+  }
+  std::vector<ItemId> items;
+  items.reserve(frequent.size());
+  for (const Itemset& single : frequent) items.push_back(single[0]);
+  // The MFS is still empty, so nothing covers the element.
+  mfcs_ = Mfcs(db_.num_items(), {Itemset(std::move(items))});
+  mfcs_.set_thread_pool(run_.pool());
+  // One element never trips the cardinality cap; a single frequent item is
+  // cache-known and moves to the MFS here.
+  ResolveMfcsFromCache();
 }
 
 std::vector<Itemset> PincerDriver::PassOne() {
@@ -297,11 +334,18 @@ std::vector<Itemset> PincerDriver::PassOne() {
 
   // Count the MFCS (initially the full itemset) in the same pass, as the
   // paper's line 6 does, then fold the infrequent singletons into MFCS-gen.
-  CountAndClassifyMfcs(pass);
-  if (run_.aborted()) return {};
-  {
+  // With an item on each side, an infrequent item makes the full itemset
+  // infrequent too, and MFCS-gen has a closed form.
+  if (frequent.empty() || infrequent.empty()) {
+    CountAndClassifyMfcs(pass);
+    if (run_.aborted()) return {};
     ScopedMsTimer timer(pass.mfcs_update_ms);
     UpdateMfcs(infrequent, 1, pass.num_frequent);
+  } else {
+    CountMfcs(pass);
+    if (run_.aborted()) return {};
+    ScopedMsTimer timer(pass.mfcs_update_ms);
+    SetPassOneMfcs(frequent, infrequent.size());
   }
   DrainMfcsIndexTime(pass);
 
@@ -364,7 +408,7 @@ std::vector<Itemset> PincerDriver::PassTwo(
   // Apply the §3.5 batch pre-check to the raw counts of every pair, so a
   // huge infrequent batch disables MFCS maintenance *before* classify_pair
   // materializes one Itemset per infrequent pair.
-  auto precheck_batch = [&](const std::vector<uint64_t>& pair_counts) {
+  auto precheck_batch = [&](const auto& pair_counts) {
     const size_t num_frequent_pairs = static_cast<size_t>(std::count_if(
         pair_counts.begin(), pair_counts.end(),
         [this](uint64_t count) { return IsFrequentCount(count); }));
@@ -376,9 +420,14 @@ std::vector<Itemset> PincerDriver::PassTwo(
   };
 
   if (options_.use_array_fast_path && frequent_items.size() >= 2) {
+    std::vector<uint64_t> item_supports;
+    item_supports.reserve(frequent_items.size());
+    for (ItemId item : frequent_items) {
+      item_supports.push_back(supports_.Lookup(Itemset{item}).value_or(0));
+    }
     PairCountMatrix matrix(frequent_items);
-    if (!run_.CountPairs(matrix, pass)) return {};
-    const std::vector<uint64_t>& pair_counts = matrix.raw_counts();
+    if (!run_.CountPairs(matrix, item_supports, pass)) return {};
+    const std::vector<uint32_t>& pair_counts = matrix.raw_counts();
     precheck_batch(pair_counts);
     // raw_counts() is row-major by rank, so cell follows (i, j) in order.
     size_t cell = 0;

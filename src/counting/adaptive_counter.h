@@ -71,6 +71,9 @@ class AdaptiveCounter : public SupportCounter {
 
   CounterBackend backend() const override { return CounterBackend::kAuto; }
   CounterBackend backend_used() const override { return last_used_; }
+  const VerticalIndex* vertical_index() const override {
+    return vertical_->vertical_index();
+  }
 
   // The attachments forward to both delegates.
   void set_metrics(CountingMetrics* metrics) override;

@@ -1,8 +1,11 @@
 #include "counting/array_counters.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "counting/chunked_scan.h"
+#include "counting/vertical_counter.h"
 #include "util/contracts.h"
 
 namespace pincer {
@@ -21,6 +24,28 @@ std::vector<uint64_t> CountSingletons(const TransactionDatabase& db,
                    },
                    budget);
   return counts;
+}
+
+bool PairFillPrefersIndex(uint64_t num_rows, uint64_t num_items,
+                          double support_sum, double support_square_sum) {
+  const double items = static_cast<double>(num_items);
+  const double words = static_cast<double>((num_rows + 63) / 64);
+  // C(F,2) * words <= c * E, with both sides times 2|D|.
+  return items * (items - 1) * words * static_cast<double>(num_rows) <=
+         kArrayPairCostInWordOps *
+             (support_sum * support_sum - support_square_sum);
+}
+
+bool PairFillPrefersIndex(uint64_t num_rows,
+                          const std::vector<uint64_t>& supports) {
+  double sum = 0;
+  double square_sum = 0;
+  for (const uint64_t support : supports) {
+    const double s = static_cast<double>(support);
+    sum += s;
+    square_sum += s * s;
+  }
+  return PairFillPrefersIndex(num_rows, supports.size(), sum, square_sum);
 }
 
 PairCountMatrix::PairCountMatrix(std::vector<ItemId> frequent_items)
@@ -55,30 +80,87 @@ size_t PairCountMatrix::RowBase(size_t r1) const {
 
 void PairCountMatrix::CountDatabase(const TransactionDatabase& db,
                                     ThreadPool* pool, ScanBudget* budget) {
+  const Status rows = CheckDatabaseRows(db.size());
+  PINCER_CHECK(rows.ok(), rows.message());
+  // A rank for every id a row can hold, so the row loop reads one without
+  // a bounds test.
+  std::vector<uint32_t> rank_of(std::max(db.num_items(), rank_of_.size()),
+                                kNoRank);
+  std::copy(rank_of_.begin(), rank_of_.end(), rank_of.begin());
   ChunkedCountScan(
       pool, db.size(), counts_,
       [&](size_t /*chunk*/, size_t begin, size_t end,
-          std::vector<uint64_t>& partial) {
+          std::vector<uint32_t>& partial) {
         std::vector<uint32_t> ranks;
         for (size_t tid = begin; tid < end; ++tid) {
-          ranks.clear();
-          for (ItemId item : db.transaction(tid)) {
-            if (item < rank_of_.size() && rank_of_[item] != kNoRank) {
-              ranks.push_back(rank_of_[item]);
-            }
+          const Transaction& row = db.transaction(tid);
+          if (ranks.size() < row.size()) ranks.resize(row.size());
+          // Branch-free compaction: every rank is stored, and the end
+          // advances past it only when the item is frequent.
+          size_t num_ranks = 0;
+          for (ItemId item : row) {
+            ranks[num_ranks] = rank_of[item];
+            num_ranks += ranks[num_ranks] != kNoRank;
           }
           // Transaction items are sorted by id; ranks are sorted too because
           // the rank mapping is monotone in item id. Each outer rank looks
           // up its row once; a pair is then one add and one increment.
-          for (size_t i = 0; i + 1 < ranks.size(); ++i) {
-            const size_t row = RowBase(ranks[i]);
-            for (size_t j = i + 1; j < ranks.size(); ++j) {
-              ++partial[row + ranks[j]];
+          for (size_t i = 0; i + 1 < num_ranks; ++i) {
+            const size_t base = RowBase(ranks[i]);
+            for (size_t j = i + 1; j < num_ranks; ++j) {
+              ++partial[base + ranks[j]];
             }
           }
         }
       },
       budget);
+}
+
+void PairCountMatrix::CountIndex(const VerticalIndex& index, ThreadPool* pool,
+                                 ScanBudget* budget) {
+  const Status rows = CheckDatabaseRows(index.num_transactions());
+  PINCER_CHECK(rows.ok(), rows.message());
+  const size_t n = items_.size();
+  RunInRanges(
+      pool, counts_.size(), kMinCandidatesPerVerticalWorker,
+      [&](size_t begin, size_t end) {
+        // The cell `begin` is (r1, r2): walk the row lengths n-1, n-2, ...
+        size_t r1 = 0;
+        size_t row_start = 0;
+        while (row_start + (n - 1 - r1) <= begin) row_start += n - 1 - r1++;
+        size_t r2 = r1 + 1 + (begin - row_start);
+        for (size_t cell = begin; cell < end; ++cell) {
+          if (budget != nullptr && cell > begin &&
+              (cell - begin) % kVerticalBudgetCheckCandidates == 0 &&
+              budget->Check()) {
+            return;
+          }
+          counts_[cell] = static_cast<uint32_t>(
+              index.tidset(items_[r1]).IntersectionCount(
+                  index.tidset(items_[r2])));
+          if (++r2 == n) {
+            ++r1;
+            r2 = r1 + 1;
+          }
+        }
+      });
+}
+
+Status PairCountMatrix::RestoreCounts(const std::vector<uint64_t>& counts) {
+  if (counts.size() != counts_.size()) {
+    return Status::InvalidArgument(
+        "pair_counts does not match pair_items (expected " +
+        std::to_string(counts_.size()) + " counts, got " +
+        std::to_string(counts.size()) + ")");
+  }
+  for (uint64_t count : counts) {
+    if (count > UINT32_MAX) {
+      return Status::InvalidArgument("pair count " + std::to_string(count) +
+                                     " does not fit a 32-bit cell");
+    }
+  }
+  std::copy(counts.begin(), counts.end(), counts_.begin());
+  return Status::OK();
 }
 
 std::optional<uint64_t> PairCountMatrix::TryPairCount(ItemId a, ItemId b) const {

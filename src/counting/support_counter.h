@@ -17,6 +17,8 @@
 
 namespace pincer {
 
+class VerticalIndex;
+
 /// Counting backend selector. All backends compute identical counts; they
 /// differ only in data structure (and therefore speed). kLinear mirrors the
 /// paper's own link-list implementation (§4.1.1); kHashTree is the classic
@@ -60,6 +62,11 @@ class SupportCounter {
   /// wrapper overrides it to report its per-call pick so the miners can
   /// record PassStats::backend_used.
   virtual CounterBackend backend_used() const { return backend(); }
+
+  /// The per-item tidsets this counter holds, or null (the default) for a
+  /// counter that keeps none. Pass 2 may fill its pair matrix from them
+  /// (MiningRun::CountPairs); the vertical and kAuto backends return theirs.
+  virtual const VerticalIndex* vertical_index() const { return nullptr; }
 
   /// Attaches an observability sink: subsequent CountSupports calls
   /// accumulate aggregate work counters into `*metrics`, which must outlive

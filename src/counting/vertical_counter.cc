@@ -1,5 +1,6 @@
 #include "counting/vertical_counter.h"
 
+#include "counting/chunked_scan.h"
 #include "counting/scan_budget.h"
 #include "util/contracts.h"
 
@@ -40,28 +41,11 @@ std::vector<uint64_t> VerticalCounter::CountSupports(
   // One contiguous candidate range per worker. Every slot of `counts` is
   // written by exactly one worker with an exact popcount, so the result is
   // bit-identical at any thread count; no merge step is needed.
-  size_t chunks = 1;
-  if (pool_ != nullptr) {
-    const size_t by_candidates =
-        candidates.size() / kMinCandidatesPerVerticalWorker;
-    chunks = pool_->num_threads() < by_candidates ? pool_->num_threads()
-                                                  : by_candidates;
-    if (chunks < 1) chunks = 1;
-  }
-  if (chunks <= 1) {
-    DynamicBitset scratch;
-    CountRange(candidates, 0, candidates.size(), scratch, counts);
-  } else {
-    const size_t per_chunk = (candidates.size() + chunks - 1) / chunks;
-    pool_->RunBatch(chunks, [&](size_t chunk) {
-      const size_t begin = chunk * per_chunk;
-      const size_t end = begin + per_chunk < candidates.size()
-                             ? begin + per_chunk
-                             : candidates.size();
-      DynamicBitset scratch;
-      CountRange(candidates, begin, end, scratch, counts);
-    });
-  }
+  RunInRanges(pool_, candidates.size(), kMinCandidatesPerVerticalWorker,
+              [&](size_t begin, size_t end) {
+                DynamicBitset scratch;
+                CountRange(candidates, begin, end, scratch, counts);
+              });
   PINCER_CHECK(counts.size() == candidates.size(),
               "count vector out of step with candidate vector: ",
               counts.size(), " vs ", candidates.size());

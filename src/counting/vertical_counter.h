@@ -43,6 +43,7 @@ class VerticalCounter : public SupportCounter {
       const std::vector<Itemset>& candidates) override;
 
   CounterBackend backend() const override { return CounterBackend::kVertical; }
+  const VerticalIndex* vertical_index() const override { return &index_; }
 
  private:
   // Counts candidates[begin, end) into the matching slots of `counts`,

@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace pincer {
+
+Status CheckDatabaseRows(uint64_t rows) {
+  if (rows <= kMaxDatabaseRows) return Status::OK();
+  return Status::InvalidArgument(
+      "database has " + std::to_string(rows) + " rows; at most " +
+      std::to_string(kMaxDatabaseRows) + " are supported");
+}
 
 TransactionDatabase::TransactionDatabase(size_t num_items)
     : num_items_(num_items) {}

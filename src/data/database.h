@@ -13,8 +13,17 @@
 #include "itemset/item.h"
 #include "itemset/itemset.h"
 #include "data/transaction.h"
+#include "util/status.h"
 
 namespace pincer {
+
+/// The most rows a database may hold: pass 2 keeps each pair count in a
+/// 32-bit cell (counting/array_counters.h).
+inline constexpr uint64_t kMaxDatabaseRows = UINT32_MAX;
+
+/// OK for at most kMaxDatabaseRows rows; InvalidArgument naming both
+/// numbers for more. A database is refused rather than counted wrapped.
+Status CheckDatabaseRows(uint64_t rows);
 
 /// An in-memory transaction database. Transactions are stored horizontally
 /// (as sorted item vectors); a parallel array of bitsets is built lazily on

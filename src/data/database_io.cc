@@ -18,6 +18,7 @@ StatusOr<TransactionDatabase> ReadDatabase(std::istream& in,
   std::vector<Transaction> transactions;
   size_t num_items = 0;  // max id + 1
   PINCER_RETURN_IF_ERROR(reader.ForEachRow([&](const BasketRow& row) {
+    PINCER_RETURN_IF_ERROR(CheckDatabaseRows(transactions.size() + 1));
     transactions.emplace_back(row.items.begin(), row.items.end());
     for (const ItemId item : row.items) {
       num_items = std::max(num_items, static_cast<size_t>(item) + 1);

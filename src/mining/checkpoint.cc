@@ -478,6 +478,18 @@ Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
         std::to_string(checkpoint.database.items) + " items, this database " +
         "has " + std::to_string(db.num_items()));
   }
+  // No itemset occurs in more rows than there are; the pair matrix keeps
+  // its counts in 32-bit cells on the strength of that bound.
+  for (const auto* counts :
+       {&checkpoint.singleton_counts, &checkpoint.pair_counts}) {
+    for (const uint64_t count : *counts) {
+      if (count > db.size()) {
+        return Status::InvalidArgument(
+            "checkpoint count " + std::to_string(count) + " exceeds the " +
+            std::to_string(db.size()) + " rows of this database");
+      }
+    }
+  }
   return Status::OK();
 }
 

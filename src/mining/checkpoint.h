@@ -130,8 +130,9 @@ class TransactionDatabase;
 /// Staleness gate shared by every resume entry point: rejects with
 /// InvalidArgument unless the checkpoint's algorithm id, options
 /// fingerprint, and database shape (rows, items) all match the resuming
-/// run. Path/file_bytes are the CLI's concern (the library may mine
-/// databases that never touched a file).
+/// run, and no singleton or pair count exceeds the row count.
+/// Path/file_bytes are the CLI's concern (the library may mine databases
+/// that never touched a file).
 Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
                                    std::string_view algorithm,
                                    std::string_view options_fingerprint,

@@ -111,10 +111,23 @@ std::optional<std::vector<uint64_t>> MiningRun::CountItems(
   return counts;
 }
 
-bool MiningRun::CountPairs(PairCountMatrix& matrix, PassStats& pass) {
+bool MiningRun::CountPairs(PairCountMatrix& matrix,
+                           const std::vector<uint64_t>& supports,
+                           PassStats& pass) {
+  const VerticalIndex* index = counter_->vertical_index();
+  const bool from_index =
+      index != nullptr && PairFillPrefersIndex(db_.size(), supports);
   {
     ScopedMsTimer timer(pass.counting_ms);
-    matrix.CountDatabase(db_, pool_, scan_budget());
+    if (from_index) {
+      matrix.CountIndex(*index, pool_, scan_budget());
+    } else {
+      matrix.CountDatabase(db_, pool_, scan_budget());
+    }
+  }
+  if (from_index) {
+    pass.backend_used =
+        std::string(CounterBackendName(CounterBackend::kVertical));
   }
   return !ScanStopped();
 }

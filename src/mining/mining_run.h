@@ -94,9 +94,13 @@ class MiningRun {
   std::optional<std::vector<uint64_t>> CountItems(PassStats& pass,
                                                   bool array_fast_path);
 
-  /// Pass 2 through the §4.1.1 triangular array: counts every pair of
-  /// `matrix`'s items. False when the budget expired mid-scan.
-  bool CountPairs(PairCountMatrix& matrix, PassStats& pass);
+  /// Pass 2: counts every pair of `matrix`'s items, whose pass-1 supports
+  /// are `supports` in the same order. The matrix is filled from the
+  /// counter's vertical index, recording pass.backend_used "vertical", when
+  /// the counter has one and PairFillPrefersIndex picks it; otherwise by
+  /// the §4.1.1 array scan. False when the budget expired mid-count.
+  bool CountPairs(PairCountMatrix& matrix,
+                  const std::vector<uint64_t>& supports, PassStats& pass);
 
   /// Books a completed pass under the paper's accounting (§4.1.1): one
   /// more database pass, every candidate and MFCS element into the total,

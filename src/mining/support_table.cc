@@ -28,7 +28,8 @@ void SupportTable::WriteCheckpoint(Checkpoint& checkpoint) const {
   std::sort(checkpoint.support_cache.begin(), checkpoint.support_cache.end());
   checkpoint.singleton_counts = singleton_counts_;
   checkpoint.pair_items = pairs_.frequent_items();
-  checkpoint.pair_counts = pairs_.raw_counts();
+  const std::vector<uint32_t>& pair_counts = pairs_.raw_counts();
+  checkpoint.pair_counts.assign(pair_counts.begin(), pair_counts.end());
 }
 
 StatusOr<SupportTable> SupportTable::FromCheckpoint(
@@ -40,11 +41,9 @@ StatusOr<SupportTable> SupportTable::FromCheckpoint(
   table.singleton_counts_ = checkpoint.singleton_counts;
   if (!checkpoint.pair_items.empty()) {
     table.pairs_ = PairCountMatrix(checkpoint.pair_items);
-    if (!table.pairs_.RestoreCounts(checkpoint.pair_counts)) {
-      return Status::InvalidArgument(
-          "checkpoint pair_counts does not match pair_items (expected " +
-          std::to_string(table.pairs_.raw_counts().size()) + " counts, got " +
-          std::to_string(checkpoint.pair_counts.size()) + ")");
+    const Status restored = table.pairs_.RestoreCounts(checkpoint.pair_counts);
+    if (!restored.ok()) {
+      return Status::InvalidArgument("checkpoint " + restored.message());
     }
   }
   return table;

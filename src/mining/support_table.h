@@ -45,7 +45,8 @@ class SupportTable {
   void WriteCheckpoint(Checkpoint& checkpoint) const;
 
   /// The table a checkpoint's sections describe. InvalidArgument when
-  /// pair_counts does not fill the triangle over pair_items.
+  /// pair_counts does not fill the triangle over pair_items, or holds a
+  /// count too large for the matrix's 32-bit cells.
   static StatusOr<SupportTable> FromCheckpoint(const Checkpoint& checkpoint);
 
  private:

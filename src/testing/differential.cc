@@ -325,7 +325,9 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
 
 std::string DifferentialReport::Summary() const {
   std::ostringstream os;
-  os << configs_run << " config(s) across " << databases << " database(s): ";
+  os << configs_run << " config(s) across " << databases << " database(s), "
+     << index_pair_fills << " pass-2 index fill(s) and " << array_pair_fills
+     << " array fill(s) under an index: ";
   if (failures.empty()) {
     os << "all agree with the oracle";
     return os.str();
@@ -403,6 +405,28 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
                              std::make_move_iterator(violations.begin()),
                              std::make_move_iterator(violations.end()));
     };
+    // Pass 2 of an Apriori driver makes no other counter call, so its
+    // backend_used names the engine that filled the pair matrix.
+    auto tally_pair_fill = [&](const MiningStats& stats) {
+      if (!config.options.use_array_fast_path || stats.per_pass.size() < 2 ||
+          stats.per_pass[1].pass != 2) {
+        return;
+      }
+      const std::string& used = stats.per_pass[1].backend_used;
+      const bool holds_index =
+          config.options.backend == CounterBackend::kVertical ||
+          config.options.backend == CounterBackend::kAuto;
+      if (!holds_index) {
+        if (used != "array") {
+          report.failures.push_back(context + ": pass 2 recorded \"" + used +
+                                    "\" without a vertical index");
+        }
+      } else if (used == "vertical") {
+        ++report.index_pair_fills;
+      } else if (used == "array") {
+        ++report.array_pair_fills;
+      }
+    };
 
     switch (config.miner) {
       case Miner::kApriori: {
@@ -410,6 +434,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
         check_frequent(result.frequent);
         check_maximal(result.MaximalItemsets());
         check_stats(result.stats);
+        tally_pair_fill(result.stats);
         break;
       }
       case Miner::kAprioriCombined: {
@@ -418,6 +443,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
         check_frequent(result.frequent);
         check_maximal(result.MaximalItemsets());
         check_stats(result.stats);
+        tally_pair_fill(result.stats);
         break;
       }
       case Miner::kPincer: {

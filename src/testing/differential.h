@@ -115,6 +115,11 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
 struct DifferentialReport {
   size_t configs_run = 0;
   size_t databases = 0;
+  /// Pass-2 pair fills of the Apriori drivers with the array fast path
+  /// under a backend that holds a vertical index (vertical, auto), by the
+  /// engine pass 2 recorded: the index fill or the array scan.
+  size_t index_pair_fills = 0;
+  size_t array_pair_fills = 0;
   std::vector<std::string> failures;
 
   bool ok() const { return failures.empty(); }
@@ -124,7 +129,9 @@ struct DifferentialReport {
 
 /// Runs every config against `db`, comparing mined results bit for bit
 /// against the brute-force oracle (computed once per distinct min_support)
-/// and checking stats invariants. Appends to `report`.
+/// and checking stats invariants: an Apriori driver's pass-2 array fast path
+/// must record "array" under a backend without a vertical index. Appends
+/// to `report`, tallying the pass-2 fills.
 void RunConfigsOnDatabase(const TransactionDatabase& db,
                           std::string_view db_label,
                           const std::vector<DifferentialConfig>& configs,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -469,6 +470,53 @@ TEST(CheckpointResume, RejectsStaleCheckpoints) {
               std::string::npos)
         << from_torn.status();
   }
+}
+
+TEST(CheckpointResume, RejectsCountsAboveTheRowCount) {
+  // No itemset occurs in more rows than the database has, and the pass-2
+  // matrix keeps 32-bit cells on the strength of that bound: a pair or
+  // singleton count past the row count is refused, not narrowed.
+  const TransactionDatabase db = ResumeDb();
+  MiningOptions options;
+  options.min_support = 0.15;
+  std::vector<Checkpoint> checkpoints;
+  MiningOptions recording = options;
+  recording.checkpoint_sink = [&](const Checkpoint& checkpoint) {
+    checkpoints.push_back(checkpoint);
+    return Status::OK();
+  };
+  MineMaximal(db, recording, Algorithm::kPincer);
+  const auto after_pass_two = std::find_if(
+      checkpoints.begin(), checkpoints.end(),
+      [](const Checkpoint& recorded) { return recorded.next_pass == 3; });
+  ASSERT_NE(after_pass_two, checkpoints.end());
+  ASSERT_FALSE(after_pass_two->pair_counts.empty());
+  ASSERT_TRUE(
+      ResumeMaximal(db, options, Algorithm::kPincer, *after_pass_two).ok());
+
+  Checkpoint at_rows = *after_pass_two;
+  at_rows.pair_counts.back() = db.size();
+  EXPECT_TRUE(ResumeMaximal(db, options, Algorithm::kPincer, at_rows).ok());
+
+  Checkpoint past_rows = *after_pass_two;
+  past_rows.pair_counts.back() = db.size() + 1;
+  const StatusOr<MaximalSetResult> from_pairs =
+      ResumeMaximal(db, options, Algorithm::kPincer, past_rows);
+  ASSERT_FALSE(from_pairs.ok());
+  EXPECT_EQ(from_pairs.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_pairs.status().message().find("exceeds"), std::string::npos)
+      << from_pairs.status();
+
+  // Past a 32-bit cell as well: still the same refusal, before any narrowing.
+  past_rows.pair_counts.back() = uint64_t{1} << 32;
+  EXPECT_FALSE(ResumeMaximal(db, options, Algorithm::kPincer, past_rows).ok());
+
+  Checkpoint past_rows_singleton = *after_pass_two;
+  ASSERT_FALSE(past_rows_singleton.singleton_counts.empty());
+  past_rows_singleton.singleton_counts.front() = db.size() + 1;
+  EXPECT_FALSE(
+      ResumeMaximal(db, options, Algorithm::kPincer, past_rows_singleton)
+          .ok());
 }
 
 TEST(CheckpointResume, FailingSinkDoesNotFailTheRun) {

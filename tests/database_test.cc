@@ -2,11 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "data/database.h"
 #include "testing/db_builder.h"
 
 namespace pincer {
 namespace {
+
+TEST(TransactionDatabase, RowGuardRefusesPastThirtyTwoBits) {
+  // Pass 2 counts pairs in 32-bit cells, so a database of 2^32 rows or more
+  // is refused by its row count alone; no such database is built here.
+  EXPECT_EQ(kMaxDatabaseRows, uint64_t{UINT32_MAX});
+  EXPECT_TRUE(CheckDatabaseRows(0).ok());
+  EXPECT_TRUE(CheckDatabaseRows(kMaxDatabaseRows).ok());
+  const Status refused = CheckDatabaseRows(kMaxDatabaseRows + 1);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("4294967296 rows"), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.message().find("4294967295"), std::string::npos)
+      << refused;
+  EXPECT_FALSE(CheckDatabaseRows(UINT64_MAX).ok());
+}
 
 TEST(TransactionDatabase, StartsEmpty) {
   const TransactionDatabase db(10);

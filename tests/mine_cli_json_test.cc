@@ -85,6 +85,7 @@ TEST_P(MineCliJsonTest, StatsJsonMatchesInProcessRun) {
   ASSERT_TRUE(parsed.ok());
   MiningOptions options;
   options.min_support = 0.25;
+  options.backend = CounterBackend::kAuto;  // mine_cli's default
   options.collect_counter_metrics = true;
   const MaximalSetResult expected = MineMaximal(*db, options, *parsed);
 
@@ -112,6 +113,51 @@ TEST_P(MineCliJsonTest, StatsJsonMatchesInProcessRun) {
   ASSERT_NE(counting, nullptr);
   EXPECT_EQ(static_cast<uint64_t>(counting->Find("count_calls")->number),
             expected.stats.counting.count_calls);
+#endif
+}
+
+// The whole file as a string.
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(MineCliJsonTest, DefaultBackendIsAuto) {
+#ifndef PINCER_MINE_CLI_PATH
+  GTEST_SKIP() << "examples not built; mine_cli binary unavailable";
+#else
+  // The engine the daemon and the shard workers use: a run without
+  // --backend records "auto" and prints what the trie prints.
+  const std::string dir = testing::TempDir();
+  const std::string basket_path = dir + "/mine_cli_default_backend.basket";
+  const std::string json_path = dir + "/mine_cli_default_backend.json";
+  const std::string default_out = dir + "/mine_cli_default_backend.out";
+  const std::string trie_out = dir + "/mine_cli_trie_backend.out";
+  {
+    std::ofstream basket(basket_path);
+    ASSERT_TRUE(basket.good());
+    basket << kBasket;
+  }
+  std::ostringstream by_default;
+  by_default << PINCER_MINE_CLI_PATH << " " << basket_path
+             << " --min-support=0.25 --stats-json=" << json_path << " > "
+             << default_out << " 2>/dev/null";
+  ASSERT_EQ(std::system(by_default.str().c_str()), 0) << by_default.str();
+  std::ostringstream by_trie;
+  by_trie << PINCER_MINE_CLI_PATH << " " << basket_path
+          << " --min-support=0.25 --backend=trie > " << trie_out
+          << " 2>/dev/null";
+  ASSERT_EQ(std::system(by_trie.str().c_str()), 0) << by_trie.str();
+
+  const auto doc = ParseJson(Slurp(json_path));
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc->Find("backend"), nullptr);
+  EXPECT_EQ(doc->Find("backend")->string, "auto");
+  const std::string printed = Slurp(default_out);
+  EXPECT_FALSE(printed.empty());
+  EXPECT_EQ(printed, Slurp(trie_out));
 #endif
 }
 

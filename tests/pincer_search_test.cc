@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/pincer_search.h"
+#include "mining/checkpoint.h"
+#include "mining/miner.h"
 #include "testing/brute_force.h"
 #include "testing/db_builder.h"
 #include "util/logging.h"
@@ -233,6 +239,163 @@ TEST(PincerSearch, InactiveItemsAreHandled) {
   const MaximalSetResult result = PincerSearch(db, WithSupport(0.5));
   ASSERT_EQ(result.mfs.size(), 1u);
   EXPECT_EQ(result.mfs[0].itemset, (Itemset{0, 1, 2}));
+}
+
+// One pass-1 shape for the closed-form tests.
+struct PassOneCase {
+  std::string name;
+  TransactionDatabase db;
+  double min_support;
+};
+
+std::vector<PassOneCase> PassOneCases() {
+  std::vector<PassOneCase> cases;
+  {
+    // The closed form: items 0-6 common, items 7-11 rare.
+    TransactionDatabase db = MakePlantedDatabase(
+        /*num_items=*/12, /*num_transactions=*/90, /*num_planted=*/2,
+        /*pattern_size=*/4, /*pattern_frequency=*/0.4,
+        /*noise_probability=*/0.01, /*seed=*/61);
+    for (int i = 0; i < 60; ++i) {
+      db.AddTransaction({static_cast<ItemId>(i % 7),
+                         static_cast<ItemId>((i + 2) % 7),
+                         static_cast<ItemId>((i + 3) % 7)});
+    }
+    cases.push_back({"closed form", std::move(db), 0.2});
+  }
+  {
+    // Every item frequent, the full itemset not: the general descent.
+    RandomDbParams params;
+    params.num_items = 8;
+    params.num_transactions = 60;
+    params.item_probability = 0.6;
+    params.seed = 62;
+    cases.push_back({"all items frequent", MakeRandomDatabase(params), 0.2});
+  }
+  cases.push_back({"full itemset frequent",
+                   MakeDatabase({{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2}}),
+                   0.6});
+  cases.push_back({"one frequent item",
+                   MakeDatabase({{0, 1}, {0, 2}, {0, 3}, {0}, {0, 4}}), 0.5});
+  cases.push_back(
+      {"no frequent item", MakeDatabase({{0, 1}, {2, 3}, {4, 5}}), 0.9});
+  return cases;
+}
+
+TEST(PincerPassOne, ClosedFormMfcsMatchesTheOracleFreshAndResumed) {
+  for (const PassOneCase& test : PassOneCases()) {
+    const std::vector<FrequentItemset> oracle =
+        BruteForceMaximal(test.db, test.min_support);
+    const uint64_t min_count = test.db.MinSupportCount(test.min_support);
+    std::vector<ItemId> frequent_items;
+    for (ItemId item = 0; item < test.db.num_items(); ++item) {
+      if (test.db.CountSupport(Itemset{item}) >= min_count) {
+        frequent_items.push_back(item);
+      }
+    }
+    const bool closed_form = !frequent_items.empty() &&
+                             frequent_items.size() < test.db.num_items();
+    for (const Algorithm algorithm :
+         {Algorithm::kPincer, Algorithm::kPincerAdaptive}) {
+      const std::string context =
+          test.name + "/" + std::string(AlgorithmName(algorithm));
+      MiningOptions options = WithSupport(test.min_support);
+      std::vector<Checkpoint> checkpoints;
+      MiningOptions recording = options;
+      recording.checkpoint_sink = [&](const Checkpoint& checkpoint) {
+        checkpoints.push_back(checkpoint);
+        return Status::OK();
+      };
+      const MaximalSetResult fresh = MineMaximal(test.db, recording, algorithm);
+      EXPECT_EQ(fresh.mfs, oracle) << context;
+      ASSERT_FALSE(fresh.stats.per_pass.empty()) << context;
+      const PassStats& pass_one = fresh.stats.per_pass.front();
+      // The full itemset is counted on every path.
+      EXPECT_EQ(pass_one.num_mfcs_candidates, 1u) << context;
+      if (closed_form) {
+        // One element, {frequent items} — unless a lone frequent item
+        // already moved to the MFS.
+        EXPECT_EQ(pass_one.mfcs_size_after,
+                  frequent_items.size() > 1 ? 1u : 0u)
+            << context;
+        EXPECT_FALSE(fresh.stats.mfcs_disabled) << context;
+      }
+
+      const auto pass_two = std::find_if(
+          checkpoints.begin(), checkpoints.end(),
+          [](const Checkpoint& recorded) { return recorded.next_pass == 2; });
+      if (pass_two == checkpoints.end()) {
+        // Only a run that ended at pass 1 writes no pass-2 checkpoint.
+        EXPECT_EQ(fresh.stats.passes, 1u) << context;
+        continue;
+      }
+      if (closed_form && frequent_items.size() > 1) {
+        EXPECT_EQ(pass_two->mfcs,
+                  (std::vector<Itemset>{Itemset(frequent_items)}))
+            << context;
+      }
+      const StatusOr<Checkpoint> reloaded =
+          ParseCheckpoint(pass_two->ToJsonString());
+      ASSERT_TRUE(reloaded.ok()) << context << ": " << reloaded.status();
+      const StatusOr<MaximalSetResult> resumed =
+          ResumeMaximal(test.db, options, algorithm, *reloaded);
+      ASSERT_TRUE(resumed.ok()) << context << ": " << resumed.status();
+      EXPECT_EQ(resumed->mfs, oracle) << context << " resumed at pass 2";
+      EXPECT_EQ(resumed->stats.total_candidates, fresh.stats.total_candidates)
+          << context << " resumed at pass 2";
+    }
+  }
+}
+
+TEST(PincerPassOne, CasesCoverEveryPath) {
+  // The fixtures above must actually reach each path they are named for.
+  std::vector<std::string> seen;
+  for (const PassOneCase& test : PassOneCases()) {
+    const uint64_t min_count = test.db.MinSupportCount(test.min_support);
+    size_t frequent = 0;
+    for (ItemId item = 0; item < test.db.num_items(); ++item) {
+      if (test.db.CountSupport(Itemset{item}) >= min_count) ++frequent;
+    }
+    std::vector<ItemId> items;
+    for (ItemId item = 0; item < test.db.num_items(); ++item) {
+      items.push_back(item);
+    }
+    const bool full_frequent =
+        test.db.CountSupport(Itemset(items)) >= min_count;
+    if (test.name == "closed form") {
+      EXPECT_GT(frequent, 1u);
+      EXPECT_LT(frequent, test.db.num_items());
+    } else if (test.name == "all items frequent") {
+      EXPECT_EQ(frequent, test.db.num_items());
+      EXPECT_FALSE(full_frequent);
+    } else if (test.name == "full itemset frequent") {
+      EXPECT_TRUE(full_frequent);
+    } else if (test.name == "one frequent item") {
+      EXPECT_EQ(frequent, 1u);
+    } else if (test.name == "no frequent item") {
+      EXPECT_EQ(frequent, 0u);
+    }
+    seen.push_back(test.name);
+  }
+  EXPECT_EQ(seen.size(), 5u);
+}
+
+// The pass-1 descent used to split {all items} into one element per item
+// before the infrequent singletons shrank it back, so a universe wider than
+// the adaptive cardinality cap switched the MFCS off at pass 1. The closed
+// form reaches {frequent items} directly, and the MFCS stays on.
+TEST(PincerPassOne, WideUniverseKeepsTheMfcs) {
+  TransactionDatabase db(kDefaultMfcsCardinalityLimit + 50);
+  for (int i = 0; i < 40; ++i) {
+    db.AddTransaction({0, 1, 2, 3, static_cast<ItemId>(100 + i)});
+  }
+  MiningOptions options = WithSupport(0.5);
+  const MaximalSetResult result =
+      MineMaximal(db, options, Algorithm::kPincerAdaptive);
+  EXPECT_FALSE(result.stats.mfcs_disabled);
+  ASSERT_EQ(result.mfs.size(), 1u);
+  EXPECT_EQ(result.mfs[0].itemset, (Itemset{0, 1, 2, 3}));
+  EXPECT_EQ(result.stats.passes, 2u);
 }
 
 }  // namespace

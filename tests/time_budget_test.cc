@@ -180,6 +180,49 @@ TEST(TimeBudget, VerticalBackendAbortsMidScanInsideASinglePass) {
   EXPECT_TRUE(pincer.mfs.empty());
 }
 
+TEST(TimeBudget, PassTwoIndexFillAbortsTheRun) {
+  // Pass 1 reads 100 rows, fewer than one poll slice, so it completes under
+  // an expired budget. Pass 2's 190 pairs of 20 items in every row price
+  // the vertical index fill, which polls every kVerticalBudgetCheckCandidates
+  // pairs: it stops, and the run is aborted with only pass 1 booked.
+  TransactionDatabase db(21);
+  Transaction common;
+  for (ItemId item = 0; item < 20; ++item) common.push_back(item);
+  for (int i = 0; i < 100; ++i) db.AddTransaction(common);
+  db.AddTransaction({20});
+  for (const CounterBackend backend :
+       {CounterBackend::kVertical, CounterBackend::kAuto}) {
+    MiningOptions options;
+    options.min_support = 0.5;
+    options.backend = backend;
+    options.time_budget_ms = 1e-6;
+    const std::string context(CounterBackendName(backend));
+
+    const FrequentSetResult apriori = AprioriMine(db, options);
+    EXPECT_TRUE(apriori.stats.aborted) << context;
+    EXPECT_TRUE(apriori.stats.budget_exceeded) << context;
+    EXPECT_EQ(apriori.stats.passes, 1u) << context;
+
+    const FrequentSetResult combined = AprioriCombinedMine(db, options);
+    EXPECT_TRUE(combined.stats.aborted) << context;
+    EXPECT_EQ(combined.stats.passes, 1u) << context;
+
+    const MaximalSetResult pincer = PincerSearch(db, options);
+    EXPECT_TRUE(pincer.stats.aborted) << context;
+    EXPECT_TRUE(pincer.stats.budget_exceeded) << context;
+    EXPECT_EQ(pincer.stats.passes, 1u) << context;
+
+    // With time to spare pass 2 completes and records the index fill; the
+    // pass cap stops Apriori short of the 2^20 frequent itemsets.
+    options.time_budget_ms = 0;
+    options.max_passes = 2;
+    const FrequentSetResult capped = AprioriMine(db, options);
+    EXPECT_FALSE(capped.stats.budget_exceeded) << context;
+    ASSERT_EQ(capped.stats.per_pass.size(), 2u) << context;
+    EXPECT_EQ(capped.stats.per_pass[1].backend_used, "vertical") << context;
+  }
+}
+
 // The latch contract between `aborted` and `budget_exceeded` (stats schema
 // v1.3): budget_exceeded reflects the ScanBudget's latched poll, so under a
 // pure time budget (no pass cap) the two flags must agree in both

@@ -58,6 +58,29 @@ const std::vector<Itemset>& BenchCandidates() {
   return *candidates;
 }
 
+// The frequent itemsets of three or more items of the bench database at a
+// lower support, level by level and each level in lexicographic order, as
+// AprioriGen emits its candidates: the deep batches the vertical counter
+// walks on its prefix stack.
+const std::vector<Itemset>& BenchDeepCandidates() {
+  static const std::vector<Itemset>* candidates = [] {
+    MiningOptions options;
+    options.min_support = 0.004;
+    const FrequentSetResult frequent = AprioriMine(BenchDb(), options);
+    // lint: allow-new(leaked bench fixture; alive for the whole run)
+    auto* out = new std::vector<Itemset>();
+    for (const FrequentItemset& fi : frequent.frequent) {
+      if (fi.itemset.size() >= 3) out->push_back(fi.itemset);
+    }
+    std::sort(out->begin(), out->end(),
+              [](const Itemset& a, const Itemset& b) {
+                return a.size() != b.size() ? a.size() < b.size() : a < b;
+              });
+    return out;
+  }();
+  return *candidates;
+}
+
 void BM_CountSupports(benchmark::State& state) {
   const auto backend = static_cast<CounterBackend>(state.range(0));
   auto counter = CreateCounter(backend, BenchDb());
@@ -76,6 +99,24 @@ BENCHMARK(BM_CountSupports)
     ->Arg(static_cast<int>(CounterBackend::kTrie))
     ->Arg(static_cast<int>(CounterBackend::kVertical))
     ->Unit(benchmark::kMillisecond);
+
+// The vertical backend over the sorted deep batch: neighbours share most of
+// their prefix, so each shared prefix AND is built once.
+void BM_CountSupportsDeepVertical(benchmark::State& state) {
+  auto counter = CreateCounter(CounterBackend::kVertical, BenchDb());
+  const std::vector<Itemset>& candidates = BenchDeepCandidates();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(counter->CountSupports(candidates));
+  }
+  state.SetLabel("vertical x" + std::to_string(candidates.size()) +
+                 " candidates of 3-" +
+                 std::to_string(candidates.empty() ? 0
+                                                   : candidates.back().size()) +
+                 " items, sorted");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(candidates.size()));
+}
+BENCHMARK(BM_CountSupportsDeepVertical)->Unit(benchmark::kMillisecond);
 
 // Pooled scans: the same pass-3 batch on the trie backend with a shared
 // ThreadPool of N threads (N = 1 is the inline serial path — its delta vs
@@ -210,6 +251,8 @@ void BM_IntersectionCount(benchmark::State& state, std::string_view variant) {
 BENCHMARK_CAPTURE(BM_IntersectionCount, portable, "portable")
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_IntersectionCount, popcnt, "popcnt")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IntersectionCount, avx512, "avx512")
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 
 namespace pincer {
@@ -17,9 +18,14 @@ TransactionDatabase::TransactionDatabase(size_t num_items)
     : num_items_(num_items) {}
 
 void TransactionDatabase::AddTransaction(Transaction transaction) {
-  std::sort(transaction.begin(), transaction.end());
-  transaction.erase(std::unique(transaction.begin(), transaction.end()),
-                    transaction.end());
+  // Rows written by WriteDatabase or the generator are already strictly
+  // increasing; one pass proves it and skips the sort.
+  if (std::adjacent_find(transaction.begin(), transaction.end(),
+                         std::greater_equal<ItemId>()) != transaction.end()) {
+    std::sort(transaction.begin(), transaction.end());
+    transaction.erase(std::unique(transaction.begin(), transaction.end()),
+                      transaction.end());
+  }
   // Ids outside the declared universe are dropped, not stored: every
   // downstream consumer (bitset construction, the triangular pair matrix,
   // the vertical index) indexes arrays of size num_items_, so an

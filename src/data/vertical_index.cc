@@ -10,30 +10,28 @@ VerticalIndex::VerticalIndex(const TransactionDatabase& db)
       tidsets_[item].Set(tid);
     }
   }
-}
-
-uint64_t VerticalIndex::CountSupport(const Itemset& itemset,
-                                     DynamicBitset& scratch) const {
-  // Short itemsets never touch the accumulator: size 1 is a popcount of one
-  // tidset, size 2 a fused intersect-and-popcount — no materialized
-  // intersection at all.
-  if (itemset.empty()) return num_transactions_;
-  if (itemset.size() == 1) return tidsets_[itemset[0]].Count();
-  const DynamicBitset& last = tidsets_[itemset[itemset.size() - 1]];
-  if (itemset.size() == 2) return tidsets_[itemset[0]].IntersectionCount(last);
-  // Size >= 3: one word-level AND into the reusable scratch (no allocation
-  // once its capacity covers |D|), then chain in-place ANDs, finishing with
-  // the fused intersect-and-popcount against the final tidset.
-  scratch.AssignAnd(tidsets_[itemset[0]], tidsets_[itemset[1]]);
-  for (size_t i = 2; i + 1 < itemset.size(); ++i) {
-    scratch &= tidsets_[itemset[i]];
+  supports_.reserve(tidsets_.size());
+  for (const DynamicBitset& tidset : tidsets_) {
+    supports_.push_back(tidset.Count());
   }
-  return scratch.IntersectionCount(last);
 }
 
 uint64_t VerticalIndex::CountSupport(const Itemset& itemset) const {
-  DynamicBitset scratch;
-  return CountSupport(itemset, scratch);
+  // Short itemsets build no intersection: size 1 is the recorded support,
+  // size 2 a fused intersect-and-popcount.
+  if (itemset.empty()) return num_transactions_;
+  if (itemset.size() == 1) return supports_[itemset[0]];
+  const DynamicBitset& last = tidsets_[itemset[itemset.size() - 1]];
+  if (itemset.size() == 2) return tidsets_[itemset[0]].IntersectionCount(last);
+  // Size >= 3: AND all items but the last into one accumulator, then the
+  // fused intersect-and-popcount against the last tidset. An empty AND
+  // ends the chain: nothing later can set a bit.
+  DynamicBitset acc;
+  if (!acc.AssignAnd(tidsets_[itemset[0]], tidsets_[itemset[1]])) return 0;
+  for (size_t i = 2; i + 1 < itemset.size(); ++i) {
+    if (!acc.AssignAnd(acc, tidsets_[itemset[i]])) return 0;
+  }
+  return acc.IntersectionCount(last);
 }
 
 DynamicBitset VerticalIndex::TidsOf(const Itemset& itemset) const {

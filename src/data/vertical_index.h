@@ -30,16 +30,16 @@ class VerticalIndex {
   /// Bitmap of transactions containing `item`.
   const DynamicBitset& tidset(ItemId item) const { return tidsets_[item]; }
 
-  /// Absolute support of `itemset` via bitmap intersection. The empty
-  /// itemset is supported by every transaction.
-  uint64_t CountSupport(const Itemset& itemset) const;
+  /// Support of every item, indexed by item id: each tidset's popcount,
+  /// taken when the index is built. Pass 1 reads it instead of scanning
+  /// the rows (MiningRun::CountItems).
+  const std::vector<uint64_t>& item_supports() const { return supports_; }
 
-  /// As above, but accumulates the intersection in `scratch` instead of a
-  /// per-call copy of the first tidset. The hot-loop form: callers counting
-  /// many candidates hand the same scratch to every call, so the allocation
-  /// happens once, not per candidate. `scratch` is overwritten; any prior
-  /// contents are ignored.
-  uint64_t CountSupport(const Itemset& itemset, DynamicBitset& scratch) const;
+  /// Absolute support of one `itemset` via bitmap intersection, stopping
+  /// at the first empty AND. The empty itemset is supported by every
+  /// transaction. Batches go through VerticalCounter, which shares each
+  /// common prefix across candidates.
+  uint64_t CountSupport(const Itemset& itemset) const;
 
   /// Materializes the intersection bitmap of `itemset` (the tidset of the
   /// itemset).
@@ -48,6 +48,7 @@ class VerticalIndex {
  private:
   size_t num_transactions_;
   std::vector<DynamicBitset> tidsets_;
+  std::vector<uint64_t> supports_;
 };
 
 }  // namespace pincer

@@ -6,7 +6,8 @@
 #include "itemset/popcount_kernels.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define PINCER_POPCNT_VARIANT 1
+#define PINCER_X86_VARIANTS 1
+#include <immintrin.h>
 #endif
 
 namespace pincer {
@@ -24,7 +25,7 @@ namespace {
 #endif
 }
 
-// The two loop bodies, inlined into every variant.
+// The scalar loop bodies, inlined into the portable and POPCNT variants.
 [[gnu::always_inline]] inline size_t CountBody(const uint64_t* words,
                                                size_t n) {
   size_t total = 0;
@@ -58,7 +59,32 @@ size_t IntersectionCountPortable(const uint64_t* a, const uint64_t* b,
   return IntersectionCountBody(a, b, n);
 }
 
-#ifdef PINCER_POPCNT_VARIANT
+// An AND has no popcount, so the POPCNT variant shares this loop. Each
+// word is read before its slot is written, so `out` may alias `a` or `b`.
+bool AssignAndPortable(uint64_t* out, const uint64_t* a, const uint64_t* b,
+                       size_t n) {
+  uint64_t any = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const uint64_t w0 = a[i] & b[i];
+    const uint64_t w1 = a[i + 1] & b[i + 1];
+    const uint64_t w2 = a[i + 2] & b[i + 2];
+    const uint64_t w3 = a[i + 3] & b[i + 3];
+    out[i] = w0;
+    out[i + 1] = w1;
+    out[i + 2] = w2;
+    out[i + 3] = w3;
+    any |= w0 | w1 | w2 | w3;
+  }
+  for (; i < n; ++i) {
+    const uint64_t w = a[i] & b[i];
+    out[i] = w;
+    any |= w;
+  }
+  return any != 0;
+}
+
+#ifdef PINCER_X86_VARIANTS
 [[gnu::target("popcnt")]] size_t CountPopcnt(const uint64_t* words,
                                              size_t n) {
   return CountBody(words, n);
@@ -69,17 +95,130 @@ size_t IntersectionCountPortable(const uint64_t* a, const uint64_t* b,
                                                          size_t n) {
   return IntersectionCountBody(a, b, n);
 }
+
+// The AVX-512 loops take 16 words per iteration into two accumulators,
+// then at most one 8-word block, then a masked load of the last 0-7 words:
+// masked-off lanes are neither read nor written.
+
+// The first `n` < 8 lanes.
+[[gnu::always_inline]] inline __mmask8 TailMask(size_t n) {
+  return static_cast<__mmask8>((1u << n) - 1);
+}
+
+// The sum of the eight 64-bit lanes. Stored and summed:
+// _mm512_reduce_add_epi64 trips GCC 12's -Wuninitialized inside
+// avx512fintrin.h, which -Werror turns into a build failure.
+[[gnu::target("avx512f,avx512vpopcntdq"), gnu::always_inline]] inline size_t
+SumLanes(__m512i v) {
+  alignas(64) uint64_t lanes[8];
+  _mm512_store_si512(lanes, v);
+  uint64_t total = 0;
+  for (const uint64_t lane : lanes) total += lane;
+  return static_cast<size_t>(total);
+}
+
+[[gnu::target("avx512f,avx512vpopcntdq")]] size_t CountAvx512(
+    const uint64_t* words, size_t n) {
+  __m512i acc0 = _mm512_setzero_si512();
+  __m512i acc1 = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = _mm512_add_epi64(
+        acc0, _mm512_popcnt_epi64(_mm512_loadu_si512(words + i)));
+    acc1 = _mm512_add_epi64(
+        acc1, _mm512_popcnt_epi64(_mm512_loadu_si512(words + i + 8)));
+  }
+  if (i + 8 <= n) {
+    acc0 = _mm512_add_epi64(
+        acc0, _mm512_popcnt_epi64(_mm512_loadu_si512(words + i)));
+    i += 8;
+  }
+  if (i < n) {
+    acc1 = _mm512_add_epi64(
+        acc1, _mm512_popcnt_epi64(
+                  _mm512_maskz_loadu_epi64(TailMask(n - i), words + i)));
+  }
+  return SumLanes(_mm512_add_epi64(acc0, acc1));
+}
+
+[[gnu::target("avx512f,avx512vpopcntdq")]] size_t IntersectionCountAvx512(
+    const uint64_t* a, const uint64_t* b, size_t n) {
+  __m512i acc0 = _mm512_setzero_si512();
+  __m512i acc1 = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = _mm512_add_epi64(
+        acc0, _mm512_popcnt_epi64(_mm512_and_si512(
+                  _mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i))));
+    acc1 = _mm512_add_epi64(
+        acc1,
+        _mm512_popcnt_epi64(_mm512_and_si512(_mm512_loadu_si512(a + i + 8),
+                                             _mm512_loadu_si512(b + i + 8))));
+  }
+  if (i + 8 <= n) {
+    acc0 = _mm512_add_epi64(
+        acc0, _mm512_popcnt_epi64(_mm512_and_si512(
+                  _mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i))));
+    i += 8;
+  }
+  if (i < n) {
+    const __mmask8 mask = TailMask(n - i);
+    acc1 = _mm512_add_epi64(
+        acc1, _mm512_popcnt_epi64(
+                  _mm512_and_si512(_mm512_maskz_loadu_epi64(mask, a + i),
+                                   _mm512_maskz_loadu_epi64(mask, b + i))));
+  }
+  return SumLanes(_mm512_add_epi64(acc0, acc1));
+}
+
+// Each block is loaded before it is stored, so `out` may alias `a` or `b`.
+[[gnu::target("avx512f,avx512vpopcntdq")]] bool AssignAndAvx512(
+    uint64_t* out, const uint64_t* a, const uint64_t* b, size_t n) {
+  __m512i any = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i w0 =
+        _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
+    const __m512i w1 = _mm512_and_si512(_mm512_loadu_si512(a + i + 8),
+                                        _mm512_loadu_si512(b + i + 8));
+    _mm512_storeu_si512(out + i, w0);
+    _mm512_storeu_si512(out + i + 8, w1);
+    any = _mm512_or_si512(any, _mm512_or_si512(w0, w1));
+  }
+  if (i + 8 <= n) {
+    const __m512i w =
+        _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
+    _mm512_storeu_si512(out + i, w);
+    any = _mm512_or_si512(any, w);
+    i += 8;
+  }
+  if (i < n) {
+    const __mmask8 mask = TailMask(n - i);
+    const __m512i w = _mm512_and_si512(_mm512_maskz_loadu_epi64(mask, a + i),
+                                       _mm512_maskz_loadu_epi64(mask, b + i));
+    _mm512_mask_storeu_epi64(out + i, mask, w);
+    any = _mm512_or_si512(any, w);
+  }
+  return _mm512_test_epi64_mask(any, any) != 0;
+}
 #endif
 
 }  // namespace
 
 std::vector<PopcountKernel> SupportedPopcountKernels() {
-  std::vector<PopcountKernel> kernels = {
-      {"portable", &CountPortable, &IntersectionCountPortable}};
-#ifdef PINCER_POPCNT_VARIANT
+  std::vector<PopcountKernel> kernels = {{"portable", &CountPortable,
+                                          &IntersectionCountPortable,
+                                          &AssignAndPortable}};
+#ifdef PINCER_X86_VARIANTS
   __builtin_cpu_init();
   if (__builtin_cpu_supports("popcnt")) {
-    kernels.push_back({"popcnt", &CountPopcnt, &IntersectionCountPopcnt});
+    kernels.push_back({"popcnt", &CountPopcnt, &IntersectionCountPopcnt,
+                       &AssignAndPortable});
+  }
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512vpopcntdq")) {
+    kernels.push_back({"avx512", &CountAvx512, &IntersectionCountAvx512,
+                       &AssignAndAvx512});
   }
 #endif
   return kernels;
@@ -144,18 +283,7 @@ bool DynamicBitset::Intersects(const DynamicBitset& other) const {
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  assert(num_bits_ == other.num_bits_);
-  uint64_t* out = words_.data();
-  const uint64_t* w = other.words_.data();
-  const size_t n = words_.size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    out[i] &= w[i];
-    out[i + 1] &= w[i + 1];
-    out[i + 2] &= w[i + 2];
-    out[i + 3] &= w[i + 3];
-  }
-  for (; i < n; ++i) out[i] &= w[i];
+  AssignAnd(*this, other);
   return *this;
 }
 
@@ -171,22 +299,13 @@ size_t DynamicBitset::IntersectionCount(const DynamicBitset& other) const {
       words_.data(), other.words_.data(), words_.size());
 }
 
-void DynamicBitset::AssignAnd(const DynamicBitset& a, const DynamicBitset& b) {
+bool DynamicBitset::AssignAnd(const DynamicBitset& a, const DynamicBitset& b) {
   assert(a.num_bits_ == b.num_bits_);
   num_bits_ = a.num_bits_;
+  // A no-op when *this is a or b, whose word counts are equal.
   words_.resize(a.words_.size());
-  uint64_t* out = words_.data();
-  const uint64_t* wa = a.words_.data();
-  const uint64_t* wb = b.words_.data();
-  const size_t n = words_.size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    out[i] = wa[i] & wb[i];
-    out[i + 1] = wa[i + 1] & wb[i + 1];
-    out[i + 2] = wa[i + 2] & wb[i + 2];
-    out[i + 3] = wa[i + 3] & wb[i + 3];
-  }
-  for (; i < n; ++i) out[i] = wa[i] & wb[i];
+  return ActivePopcountKernel().assign_and(words_.data(), a.words_.data(),
+                                           b.words_.data(), words_.size());
 }
 
 }  // namespace pincer

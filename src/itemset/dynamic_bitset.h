@@ -57,7 +57,8 @@ class DynamicBitset {
   /// Requires equal sizes.
   bool Intersects(const DynamicBitset& other) const;
 
-  /// In-place bitwise AND. Requires equal sizes.
+  /// In-place bitwise AND, through AssignAnd's word loop. Requires equal
+  /// sizes.
   DynamicBitset& operator&=(const DynamicBitset& other);
 
   /// In-place bitwise OR. Requires equal sizes.
@@ -65,18 +66,20 @@ class DynamicBitset {
 
   /// Number of set bits in (*this & other) without materializing the
   /// intersection. Requires equal sizes. This is the hot loop of the
-  /// vertical counting engine: a 4-at-a-time unrolled intersect-and-popcount
-  /// over whole words. It and Count() run the POPCNT instruction where the
-  /// CPU has it and a portable loop elsewhere, picked once per process
-  /// (itemset/popcount_kernels.h); the bitset tests check every variant
-  /// against a per-bit reference.
+  /// vertical counting engine: an intersect-and-popcount over whole words.
+  /// It, Count() and AssignAnd() run the AVX-512 VPOPCNTDQ loop, the
+  /// POPCNT instruction or a portable loop, whichever is the fastest the
+  /// CPU has, picked once per process (itemset/popcount_kernels.h); the
+  /// bitset tests check every variant against a per-bit reference.
   size_t IntersectionCount(const DynamicBitset& other) const;
 
   /// Overwrites this bitset with (a & b) in one word-level pass, resizing to
-  /// match. Requires a.size() == b.size(). Unlike `x = a; x &= b;` this
-  /// never allocates when the capacity already fits — the vertical counting
-  /// engine reuses one scratch accumulator across all candidates.
-  void AssignAnd(const DynamicBitset& a, const DynamicBitset& b);
+  /// match, and returns true when any bit of the result is set. Requires
+  /// a.size() == b.size(); either may be *this. Unlike `x = a; x &= b;`
+  /// this never allocates when the capacity already fits: the vertical
+  /// counting engine reuses its prefix bitsets across all candidates, and
+  /// stops a prefix whose AND came out empty.
+  bool AssignAnd(const DynamicBitset& a, const DynamicBitset& b);
 
   friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
     return a.num_bits_ == b.num_bits_ && a.words_ == b.words_;

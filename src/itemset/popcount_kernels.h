@@ -1,5 +1,5 @@
-// The popcount word loops behind DynamicBitset::Count and
-// DynamicBitset::IntersectionCount, compiled once per instruction set.
+// The word loops behind DynamicBitset's counts and ANDs, compiled once per
+// instruction set.
 //
 // Private to the bitset: DynamicBitset uses ActivePopcountKernel(). The
 // bitset tests and the counting microbenchmark include this header to run
@@ -7,10 +7,13 @@
 //
 // The default x86-64 target has no POPCNT instruction, so a portable loop
 // calls libgcc's table routine once per 64-bit word. On x86-64 under
-// GCC/Clang a second copy of each loop is compiled with
-// [[gnu::target("popcnt")]] and chosen once per process when the CPU
-// reports POPCNT. Elsewhere the portable loop is the only variant. Every
-// variant returns the same count for the same words.
+// GCC/Clang two more copies of each loop are compiled with function target
+// attributes, never with a global -m flag, so the binary still runs on
+// every x86-64 CPU: one with [[gnu::target("popcnt")]], and one with
+// [[gnu::target("avx512f,avx512vpopcntdq")]] that ANDs and popcounts eight
+// words per instruction. The fastest variant the CPU reports is chosen once
+// per process. Elsewhere the portable loop is the only variant. Every
+// variant returns the same results for the same words.
 
 #ifndef PINCER_ITEMSET_POPCOUNT_KERNELS_H_
 #define PINCER_ITEMSET_POPCOUNT_KERNELS_H_
@@ -21,15 +24,19 @@
 
 namespace pincer {
 
-/// One compiled variant of the two word loops.
+/// One compiled variant of the word loops.
 struct PopcountKernel {
-  /// "portable" or "popcnt".
+  /// "portable", "popcnt" or "avx512".
   const char* name;
   /// Number of set bits in words[0, num_words).
   size_t (*count)(const uint64_t* words, size_t num_words);
   /// Number of set bits in (a[i] & b[i]) over i in [0, num_words).
   size_t (*intersection_count)(const uint64_t* a, const uint64_t* b,
                                size_t num_words);
+  /// out[i] = a[i] & b[i] over i in [0, num_words); true when any result
+  /// word is nonzero. `out` may be `a` or `b`.
+  bool (*assign_and)(uint64_t* out, const uint64_t* a, const uint64_t* b,
+                     size_t num_words);
 };
 
 /// The variants this host can run, the portable loop first and the

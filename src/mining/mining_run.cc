@@ -102,10 +102,17 @@ std::optional<std::vector<uint64_t>> MiningRun::CountItems(
     }
     return Count(singles, pass);
   }
+  // The counter's vertical index already holds every item's support.
+  const VerticalIndex* index = counter_->vertical_index();
   std::vector<uint64_t> counts;
   {
     ScopedMsTimer timer(pass.counting_ms);
-    counts = CountSingletons(db_, pool_, scan_budget());
+    counts = index != nullptr ? index->item_supports()
+                              : CountSingletons(db_, pool_, scan_budget());
+  }
+  if (index != nullptr) {
+    pass.backend_used =
+        std::string(CounterBackendName(CounterBackend::kVertical));
   }
   if (ScanStopped()) return std::nullopt;
   return counts;

@@ -89,8 +89,11 @@ class MiningRun {
   std::optional<std::vector<uint64_t>> Count(const std::vector<Itemset>& batch,
                                              PassStats& pass);
 
-  /// Pass 1: the support of every item, through the §4.1.1 array when
-  /// `array_fast_path`, otherwise through Count. nullopt as for Count.
+  /// Pass 1: the support of every item, through Count unless
+  /// `array_fast_path`. With the fast path, the supports are copied from
+  /// the counter's vertical index when it has one, recording
+  /// pass.backend_used "vertical", and otherwise counted by the §4.1.1
+  /// array scan. nullopt as for Count.
   std::optional<std::vector<uint64_t>> CountItems(PassStats& pass,
                                                   bool array_fast_path);
 

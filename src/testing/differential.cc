@@ -326,7 +326,9 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
 std::string DifferentialReport::Summary() const {
   std::ostringstream os;
   os << configs_run << " config(s) across " << databases << " database(s), "
-     << index_pair_fills << " pass-2 index fill(s) and " << array_pair_fills
+     << index_item_counts << " pass-1 count(s) from the index and "
+     << array_item_counts << " from the array, " << index_pair_fills
+     << " pass-2 index fill(s) and " << array_pair_fills
      << " array fill(s) under an index: ";
   if (failures.empty()) {
     os << "all agree with the oracle";
@@ -405,26 +407,28 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
                              std::make_move_iterator(violations.begin()),
                              std::make_move_iterator(violations.end()));
     };
-    // Pass 2 of an Apriori driver makes no other counter call, so its
-    // backend_used names the engine that filled the pair matrix.
-    auto tally_pair_fill = [&](const MiningStats& stats) {
-      if (!config.options.use_array_fast_path || stats.per_pass.size() < 2 ||
-          stats.per_pass[1].pass != 2) {
-        return;
-      }
-      const std::string& used = stats.per_pass[1].backend_used;
+    // Passes 1 and 2 of an Apriori driver make no other counter call, so
+    // their backend_used names where the counts came from.
+    auto tally_fast_passes = [&](const MiningStats& stats) {
+      if (!config.options.use_array_fast_path) return;
       const bool holds_index =
           config.options.backend == CounterBackend::kVertical ||
           config.options.backend == CounterBackend::kAuto;
-      if (!holds_index) {
-        if (used != "array") {
-          report.failures.push_back(context + ": pass 2 recorded \"" + used +
-                                    "\" without a vertical index");
+      for (const PassStats& pass : stats.per_pass) {
+        if (pass.pass > 2) break;
+        const std::string& used = pass.backend_used;
+        if (!holds_index && used != "array") {
+          report.failures.push_back(context + ": pass " +
+                                    std::to_string(pass.pass) + " recorded \"" +
+                                    used + "\" without a vertical index");
         }
-      } else if (used == "vertical") {
-        ++report.index_pair_fills;
-      } else if (used == "array") {
-        ++report.array_pair_fills;
+        if (pass.pass == 1) {
+          if (used == "vertical") ++report.index_item_counts;
+          if (used == "array") ++report.array_item_counts;
+        } else if (holds_index) {
+          if (used == "vertical") ++report.index_pair_fills;
+          if (used == "array") ++report.array_pair_fills;
+        }
       }
     };
 
@@ -434,7 +438,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
         check_frequent(result.frequent);
         check_maximal(result.MaximalItemsets());
         check_stats(result.stats);
-        tally_pair_fill(result.stats);
+        tally_fast_passes(result.stats);
         break;
       }
       case Miner::kAprioriCombined: {
@@ -443,7 +447,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
         check_frequent(result.frequent);
         check_maximal(result.MaximalItemsets());
         check_stats(result.stats);
-        tally_pair_fill(result.stats);
+        tally_fast_passes(result.stats);
         break;
       }
       case Miner::kPincer: {

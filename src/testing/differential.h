@@ -115,6 +115,11 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
 struct DifferentialReport {
   size_t configs_run = 0;
   size_t databases = 0;
+  /// Pass-1 item counts of the Apriori drivers with the array fast path,
+  /// by where pass 1 recorded they came from: the vertical index's item
+  /// supports or the array scan.
+  size_t index_item_counts = 0;
+  size_t array_item_counts = 0;
   /// Pass-2 pair fills of the Apriori drivers with the array fast path
   /// under a backend that holds a vertical index (vertical, auto), by the
   /// engine pass 2 recorded: the index fill or the array scan.
@@ -129,9 +134,9 @@ struct DifferentialReport {
 
 /// Runs every config against `db`, comparing mined results bit for bit
 /// against the brute-force oracle (computed once per distinct min_support)
-/// and checking stats invariants: an Apriori driver's pass-2 array fast path
-/// must record "array" under a backend without a vertical index. Appends
-/// to `report`, tallying the pass-2 fills.
+/// and checking stats invariants: an Apriori driver's pass-1 and pass-2
+/// array fast paths must record "array" under a backend without a vertical
+/// index. Appends to `report`, tallying the pass-1 and pass-2 sources.
 void RunConfigsOnDatabase(const TransactionDatabase& db,
                           std::string_view db_label,
                           const std::vector<DifferentialConfig>& configs,

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "counting/array_counters.h"
 #include "mining/checkpoint.h"
 #include "mining/miner.h"
 #include "testing/db_builder.h"
@@ -357,6 +358,52 @@ TEST(CheckpointResume, PincerIsDeterministic) {
 
 TEST(CheckpointResume, PincerAdaptiveIsDeterministic) {
   RunResumeSweep(Algorithm::kPincerAdaptive);
+}
+
+TEST(CheckpointResume, PassOneFromTheIndexMatchesTheArrayScan) {
+  // Under a backend that holds a vertical index, pass 1 copies the index's
+  // item supports instead of scanning the rows. They must equal the array
+  // scan's for every item: in a fresh run, in the checkpoint taken after
+  // pass 1, and in a run resumed from that checkpoint.
+  const TransactionDatabase db = ResumeDb();
+  const std::vector<uint64_t> expected = CountSingletons(db);
+  MiningOptions options;
+  options.min_support = 0.15;
+  options.backend = CounterBackend::kTrie;
+  const MaximalSetResult scanned = MineMaximal(db, options, Algorithm::kPincer);
+  for (const CounterBackend backend :
+       {CounterBackend::kVertical, CounterBackend::kAuto}) {
+    const std::string context(CounterBackendName(backend));
+    options.backend = backend;
+    std::vector<Checkpoint> checkpoints;
+    MiningOptions recording = options;
+    recording.checkpoint_sink = [&](const Checkpoint& checkpoint) {
+      checkpoints.push_back(checkpoint);
+      return Status::OK();
+    };
+    const MaximalSetResult fresh =
+        MineMaximal(db, recording, Algorithm::kPincer);
+    EXPECT_EQ(fresh.mfs, scanned.mfs) << context;
+    const auto after_pass_one = std::find_if(
+        checkpoints.begin(), checkpoints.end(),
+        [](const Checkpoint& recorded) { return recorded.next_pass == 2; });
+    ASSERT_NE(after_pass_one, checkpoints.end()) << context;
+    EXPECT_EQ(after_pass_one->singleton_counts, expected) << context;
+
+    const StatusOr<Checkpoint> reloaded =
+        ParseCheckpoint(after_pass_one->ToJsonString());
+    ASSERT_TRUE(reloaded.ok()) << context << ": " << reloaded.status();
+    const StatusOr<MaximalSetResult> resumed =
+        ResumeMaximal(db, options, Algorithm::kPincer, *reloaded);
+    ASSERT_TRUE(resumed.ok()) << context << ": " << resumed.status();
+    EXPECT_EQ(resumed->mfs, scanned.mfs) << context;
+    for (ItemId item = 0; item < db.num_items(); ++item) {
+      EXPECT_EQ(fresh.supports.Lookup(Itemset{item}), expected[item])
+          << context << ", item " << item;
+      EXPECT_EQ(resumed->supports.Lookup(Itemset{item}), expected[item])
+          << context << ", item " << item << ", resumed";
+    }
+  }
 }
 
 TEST(CheckpointResume, ResumeUnderDifferentBackendAndThreads) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "data/database.h"
 #include "testing/db_builder.h"
@@ -139,6 +140,37 @@ TEST(TransactionDatabase, DroppedItemsAccumulateAndDeduplicateFirst) {
   db.AddTransaction({3});
   EXPECT_EQ(db.num_dropped_items(), 2u);
   EXPECT_EQ(db.TotalItemOccurrences(), 3u);
+}
+
+TEST(TransactionDatabase, RowsInOrderAreStoredAsGiven) {
+  // A strictly increasing row skips the sort; any other row is normalized
+  // exactly as before. Shuffled rows with duplicates and out-of-range ids
+  // end up sorted, deduplicated and trimmed, and every distinct dropped id
+  // is tallied once.
+  TransactionDatabase db(10);
+  const std::vector<Transaction> shuffled = {{9, 3, 3, 12, 0, 12, 7},
+                                             {5, 5},
+                                             {11, 4, 2, 10},
+                                             {2, 1}};
+  for (const Transaction& row : shuffled) db.AddTransaction(row);
+  const std::vector<Transaction> normalized = {
+      {0, 3, 7, 9}, {5}, {2, 4}, {1, 2}};
+  ASSERT_EQ(db.size(), normalized.size());
+  for (size_t i = 0; i < normalized.size(); ++i) {
+    EXPECT_EQ(db.transaction(i), normalized[i]) << "row " << i;
+  }
+  EXPECT_EQ(db.num_dropped_items(), 3u);
+
+  const std::vector<Transaction> in_order = {
+      {}, {4}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {1, 5, 8}};
+  for (const Transaction& row : in_order) db.AddTransaction(row);
+  for (size_t i = 0; i < in_order.size(); ++i) {
+    EXPECT_EQ(db.transaction(normalized.size() + i), in_order[i]) << i;
+  }
+  // An in-order row past the universe keeps its in-range prefix.
+  db.AddTransaction({2, 6, 10, 11});
+  EXPECT_EQ(db.transaction(db.size() - 1), (Transaction{2, 6}));
+  EXPECT_EQ(db.num_dropped_items(), 5u);
 }
 
 TEST(TransactionDatabase, ZeroItemUniverseDropsEverything) {

@@ -88,6 +88,10 @@ TEST(DifferentialStress, QuestSweepAgreesWithOracleEverywhere) {
   // under the backends that hold an index.
   EXPECT_GT(report.index_pair_fills, 0u) << report.Summary();
   EXPECT_GT(report.array_pair_fills, 0u) << report.Summary();
+  // Pass 1 reads the index's item supports under those backends and scans
+  // the rows under the others.
+  EXPECT_GT(report.index_item_counts, 0u) << report.Summary();
+  EXPECT_GT(report.array_item_counts, 0u) << report.Summary();
 }
 
 TEST(DifferentialStress, AdversarialDatabases) {

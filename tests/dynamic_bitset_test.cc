@@ -120,38 +120,47 @@ TEST(DynamicBitset, SetAllOnEmptyBitset) {
 }
 
 TEST(DynamicBitset, AssignAndMatchesCopyThenAnd) {
-  // The fused AssignAnd must equal the copy-then-&= reference on sizes that
-  // exercise the unrolled 4-word loop and its scalar tail.
-  for (const size_t size : {1u, 64u, 100u, 256u, 300u, 517u}) {
-    DynamicBitset a(size), b(size);
+  // AssignAnd, and operator&= which runs the same word loop, must equal a
+  // per-bit AND on sizes around the vector blocks and their tails, and
+  // report whether any bit survived.
+  for (const size_t size : {1u, 64u, 100u, 256u, 300u, 517u, 1025u}) {
+    DynamicBitset a(size), b(size), disjoint(size), expected(size);
     for (size_t i = 0; i < size; i += 3) a.Set(i);
     for (size_t i = 0; i < size; i += 7) b.Set(i);
-    DynamicBitset expected = a;
-    expected &= b;
+    for (size_t i = 1; i < size; i += 3) disjoint.Set(i);
+    for (size_t i = 0; i < size; ++i) {
+      if (a.Test(i) && b.Test(i)) expected.Set(i);
+    }
     DynamicBitset fused;
-    fused.AssignAnd(a, b);
+    EXPECT_TRUE(fused.AssignAnd(a, b)) << size;
     EXPECT_TRUE(fused == expected) << size;
-    // Reuse without reallocation: overwrite the same scratch with a second,
-    // different intersection.
-    DynamicBitset expected2 = b;
-    expected2 &= a;
-    fused.AssignAnd(b, a);
-    EXPECT_TRUE(fused == expected2) << size;
+    DynamicBitset in_place = a;
+    in_place &= b;
+    EXPECT_TRUE(in_place == expected) << size;
+    // Reuse without reallocation: overwrite the same scratch with an empty
+    // intersection, then chain in place.
+    EXPECT_FALSE(fused.AssignAnd(a, disjoint)) << size;
+    EXPECT_EQ(fused.Count(), 0u) << size;
+    EXPECT_TRUE(fused.AssignAnd(b, a)) << size;
+    EXPECT_TRUE(fused == expected) << size;
+    EXPECT_FALSE(fused.AssignAnd(fused, disjoint)) << size;
+    EXPECT_TRUE(fused == DynamicBitset(size)) << size;
   }
 }
 
 TEST(DynamicBitset, IntersectionCountMatchesScalarReference) {
-  // Every word-loop variant this host runs (the portable loop, and POPCNT
-  // where the CPU has it) must agree with a per-bit reference, for Count
-  // and IntersectionCount, at random densities and at word counts that
-  // leave a 0-3-word tail after the 4-way unrolled body.
+  // Every word-loop variant this host runs (the portable loop, POPCNT and
+  // AVX-512 where the CPU has them) must agree with a per-bit reference,
+  // for Count, IntersectionCount and the AND with its nonzero flag, at
+  // random densities and at word counts around the 4-word scalar body and
+  // the 8- and 16-word vector blocks, so every tail length is run.
   const std::vector<PopcountKernel> kernels = SupportedPopcountKernels();
   ASSERT_FALSE(kernels.empty());
   EXPECT_STREQ(kernels.front().name, "portable");
   Prng rng(131);
   for (const size_t num_words :
-       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 63u, 64u, 65u, 66u, 67u, 257u,
-        258u, 259u, 300u, 517u}) {
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u,
+        63u, 64u, 65u, 66u, 67u, 257u, 258u, 259u, 300u, 517u}) {
     for (const double density : {0.0, 0.03, 0.5, 0.97, 1.0}) {
       std::vector<uint64_t> a(num_words, 0), b(num_words, 0);
       for (size_t w = 0; w < num_words; ++w) {
@@ -161,9 +170,11 @@ TEST(DynamicBitset, IntersectionCountMatchesScalarReference) {
         }
       }
       size_t count_a = 0, count_ab = 0;
+      std::vector<uint64_t> and_ab(num_words, 0);
       for (size_t w = 0; w < num_words; ++w) {
         count_a += PerBitCount(a[w]);
         count_ab += PerBitCount(a[w] & b[w]);
+        and_ab[w] = a[w] & b[w];
       }
       for (const PopcountKernel& kernel : kernels) {
         SCOPED_TRACE(::testing::Message() << kernel.name << ", " << num_words
@@ -173,7 +184,31 @@ TEST(DynamicBitset, IntersectionCountMatchesScalarReference) {
                   count_ab);
         EXPECT_EQ(kernel.intersection_count(b.data(), a.data(), num_words),
                   count_ab);
+        // Into a fresh buffer one word longer, whose last word must be
+        // left alone, and in place over a copy of `a`.
+        std::vector<uint64_t> out(num_words + 1, 0x5a5a5a5a5a5a5a5aULL);
+        EXPECT_EQ(kernel.assign_and(out.data(), a.data(), b.data(), num_words),
+                  count_ab > 0);
+        EXPECT_EQ(std::vector<uint64_t>(out.begin(), out.end() - 1), and_ab);
+        EXPECT_EQ(out.back(), 0x5a5a5a5a5a5a5a5aULL);
+        std::vector<uint64_t> in_place = a;
+        EXPECT_EQ(kernel.assign_and(in_place.data(), in_place.data(),
+                                    b.data(), num_words),
+                  count_ab > 0);
+        EXPECT_EQ(in_place, and_ab);
       }
+    }
+  }
+  // A single set bit at each word of the 33-word range: the nonzero flag
+  // sees it wherever it lands, in a vector block or in the tail.
+  for (const PopcountKernel& kernel : kernels) {
+    for (size_t hit = 0; hit < 33; ++hit) {
+      std::vector<uint64_t> a(33, 0), b(33, ~uint64_t{0}), out(33, 0);
+      a[hit] = uint64_t{1} << (hit % 64);
+      EXPECT_TRUE(kernel.assign_and(out.data(), a.data(), b.data(), 33))
+          << kernel.name << ", bit in word " << hit;
+      EXPECT_EQ(kernel.intersection_count(a.data(), b.data(), 33), 1u)
+          << kernel.name << ", bit in word " << hit;
     }
   }
   // The same through DynamicBitset's active variant, on bit sizes with and
@@ -196,17 +231,24 @@ TEST(DynamicBitset, IntersectionCountMatchesScalarReference) {
 }
 
 TEST(DynamicBitset, UsesThePopcntVariantWhereverTheCpuHasIt) {
-  // A build that fell back to the portable loop on a POPCNT CPU would count
-  // through one libgcc call per word, several times slower, with the same
-  // answers: only this pin would notice.
+  // The active variant is the fastest the CPU reports: AVX-512 with
+  // AVX-512F and VPOPCNTDQ, else POPCNT, else the portable loop. A build
+  // that fell back to a slower loop would count the same answers several
+  // times slower: only this pin would notice.
   bool cpu_has_popcnt = false;
+  bool cpu_has_avx512 = false;
 #if defined(__x86_64__) && defined(__GNUC__)
   __builtin_cpu_init();
   cpu_has_popcnt = __builtin_cpu_supports("popcnt");
+  cpu_has_avx512 = __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512vpopcntdq");
 #endif
-  EXPECT_STREQ(ActivePopcountKernel().name,
-               cpu_has_popcnt ? "popcnt" : "portable");
-  EXPECT_EQ(SupportedPopcountKernels().size(), cpu_has_popcnt ? 2u : 1u);
+  const char* expected = cpu_has_avx512   ? "avx512"
+                         : cpu_has_popcnt ? "popcnt"
+                                          : "portable";
+  EXPECT_STREQ(ActivePopcountKernel().name, expected);
+  EXPECT_EQ(SupportedPopcountKernels().size(),
+            1u + (cpu_has_popcnt ? 1u : 0u) + (cpu_has_avx512 ? 1u : 0u));
 }
 
 TEST(DynamicBitset, Equality) {

@@ -1,9 +1,14 @@
 // Tests for the run context the mining drivers share: the pass cap, the
-// budget latch across nested runs, the paper's candidate accounting, and
-// the resident-counter sinks.
+// budget latch across nested runs, the paper's candidate accounting, where
+// pass 1's counts come from, and the resident-counter sinks.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "counting/array_counters.h"
 #include "counting/counter_factory.h"
 #include "mining/mining_run.h"
 #include "testing/db_builder.h"
@@ -132,6 +137,38 @@ class SinkRecorder : public SupportCounter {
   CountingMetrics* metrics() const { return metrics_; }
   ScanBudget* budget() const { return budget_; }
 };
+
+TEST(MiningRun, PassOneReadsTheIndexWhereTheCounterHasOne) {
+  // With the array fast path, pass 1 copies the item supports the vertical
+  // index recorded when it was built, and says so; a counter without an
+  // index scans the rows through the §4.1.1 array. Both give the scan's
+  // counts for every item.
+  RandomDbParams params;
+  params.num_items = 70;
+  params.num_transactions = 300;
+  params.item_probability = 0.2;
+  params.seed = 17;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  const std::vector<uint64_t> expected = CountSingletons(db);
+  for (const CounterBackend backend : AllCounterBackends()) {
+    const std::string context(CounterBackendName(backend));
+    MiningOptions options;
+    options.backend = backend;
+    MiningRun run(db, options);
+    PassStats pass;
+    pass.pass = 1;
+    const std::optional<std::vector<uint64_t>> counts =
+        run.CountItems(pass, /*array_fast_path=*/true);
+    ASSERT_TRUE(counts.has_value()) << context;
+    EXPECT_EQ(*counts, expected) << context;
+    const bool holds_index = run.counter().vertical_index() != nullptr;
+    EXPECT_EQ(holds_index, backend == CounterBackend::kVertical ||
+                               backend == CounterBackend::kAuto)
+        << context;
+    EXPECT_EQ(pass.backend_used, holds_index ? "vertical" : "array")
+        << context;
+  }
+}
 
 TEST(MiningRun, ResidentCounterLosesTheRunSinksWhenTheRunEnds) {
   const TransactionDatabase db = MakeDatabase({{0, 1}});

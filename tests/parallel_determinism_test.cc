@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "counting/counter_factory.h"
 #include "gen/quest_gen.h"
 #include "mining/miner.h"
 #include "testing/brute_force.h"
+#include "testing/db_builder.h"
 #include "util/prng.h"
 #include "util/thread_pool.h"
 
@@ -148,6 +150,112 @@ TEST(VerticalPooledCounting, BatchSplitIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(counter->CountSupports(candidates), expected)
           << "batch " << batch_size << ", " << threads
           << " thread(s), repeated call (index reuse)";
+    }
+  }
+}
+
+// The vertical counter shares each common prefix AND across a batch and
+// stops at an empty one. Whatever the batch order, every count must equal
+// an independent per-candidate row scan at every thread count: sorted
+// AprioriGen-style levels, the same shuffled, adjacent and scattered
+// duplicates, empty, one- and two-item candidates, long candidates whose
+// prefix ANDs to nothing early, and random mixed lengths. 1,100 rows make
+// 18-word tidsets, past the 16-word vector block.
+TEST(VerticalPooledCounting, PrefixSharedCountsMatchPerCandidateReference) {
+  RandomDbParams params;
+  params.num_items = 23;
+  params.num_transactions = 1100;
+  params.item_probability = 0.6;
+  params.seed = 77;
+  const TransactionDatabase dense = MakeRandomDatabase(params);
+  // Dense items 0-15 and 19-25. Items 16 and 17 split the rows between
+  // them, so no row holds both; item 18 is in no row.
+  TransactionDatabase db(26);
+  for (size_t tid = 0; tid < dense.size(); ++tid) {
+    Transaction row;
+    for (const ItemId item : dense.transaction(tid)) {
+      row.push_back(item < 16 ? item : item + 3);
+    }
+    row.push_back(tid % 2 == 0 ? 16 : 17);
+    db.AddTransaction(std::move(row));
+  }
+
+  // Every 3-, 4- and 5-subset of items 0-9, each level in lexicographic
+  // order as AprioriGen emits it.
+  std::vector<Itemset> sorted_levels;
+  for (size_t k = 3; k <= 5; ++k) {
+    std::vector<ItemId> items(k);
+    for (size_t i = 0; i < k; ++i) items[i] = static_cast<ItemId>(i);
+    while (true) {
+      sorted_levels.push_back(Itemset::FromSorted(items));
+      size_t pos = k;
+      while (pos > 0 && items[pos - 1] == 10 - k + pos - 1) --pos;
+      if (pos == 0) break;
+      ++items[pos - 1];
+      for (size_t i = pos; i < k; ++i) items[i] = items[i - 1] + 1;
+    }
+  }
+  std::vector<Itemset> shuffled = sorted_levels;
+  Prng prng(5);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[prng.UniformUint64(i)]);
+  }
+  std::vector<Itemset> duplicates;
+  for (size_t i = 0; i < 200; i += 3) {
+    duplicates.push_back(sorted_levels[i]);
+    duplicates.push_back(sorted_levels[i]);
+    duplicates.push_back(shuffled[i]);
+    duplicates.push_back(sorted_levels[i]);
+  }
+  const std::vector<Itemset> short_and_empty = {
+      Itemset{},       Itemset{3},       Itemset{3, 4},    Itemset{3, 4, 5},
+      Itemset{},       Itemset{3, 4, 6}, Itemset{16},      Itemset{16, 17},
+      Itemset{18},     Itemset{2, 18},   Itemset{0, 1, 2}, Itemset{0, 1},
+      Itemset{0, 1, 2, 3}};
+  // Long candidates whose prefix ANDs to nothing at once ({16, 17} or
+  // {18} first) or after several ANDs ({0-6} then 16 and 17), next to
+  // others that hold all of that prefix, part of it, or none.
+  std::vector<Itemset> empty_prefixes;
+  for (ItemId last = 19; last < 26; ++last) {
+    empty_prefixes.push_back(Itemset{0, 1, 2, 3, 4, 5, 6, 16, 17, last});
+  }
+  empty_prefixes.push_back(Itemset{0, 1, 2, 3, 4, 5, 6, 16, 19, 20});
+  empty_prefixes.push_back(Itemset{0, 1, 2, 3, 4, 5, 6, 16, 17, 18, 19});
+  empty_prefixes.push_back(Itemset{0, 1, 2, 3, 4, 5, 7, 8});
+  for (ItemId last = 20; last < 26; ++last) {
+    empty_prefixes.push_back(Itemset{16, 17, 19, last});
+  }
+  for (ItemId last = 20; last < 26; ++last) {
+    empty_prefixes.push_back(Itemset{18, 19, last});
+  }
+  empty_prefixes.push_back(Itemset{19, 20, 21, 22, 23, 24, 25});
+  empty_prefixes.push_back(Itemset{0, 1, 2, 3, 4, 5, 6, 16, 17, 25});
+  std::vector<Itemset> mixed = RandomBatch(/*count=*/300, /*num_items=*/26,
+                                           /*max_len=*/9, /*seed=*/31);
+  mixed[10] = Itemset{};
+  mixed[11] = Itemset{};
+
+  const std::vector<std::pair<std::string, std::vector<Itemset>>> batches = {
+      {"sorted levels", sorted_levels},
+      {"shuffled", shuffled},
+      {"duplicates", duplicates},
+      {"empty batch", {}},
+      {"short and empty", short_and_empty},
+      {"empty prefixes", empty_prefixes},
+      {"mixed lengths", mixed}};
+  for (const auto& [name, batch] : batches) {
+    std::vector<uint64_t> expected;
+    for (const Itemset& candidate : batch) {
+      expected.push_back(candidate.empty() ? db.size()
+                                           : db.CountSupport(candidate));
+    }
+    for (const size_t threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      auto counter = CreateCounter(CounterBackend::kVertical, db, &pool);
+      EXPECT_EQ(counter->CountSupports(batch), expected)
+          << name << ", " << threads << " thread(s)";
+      EXPECT_EQ(counter->CountSupports(batch), expected)
+          << name << ", " << threads << " thread(s), repeated call";
     }
   }
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "apriori/apriori.h"
 #include "apriori/apriori_combined.h"
@@ -13,6 +15,7 @@
 #include "extensions/partition.h"
 #include "extensions/sampling.h"
 #include "mining/miner.h"
+#include "mining/mining_run.h"
 #include "testing/db_builder.h"
 #include "testing/differential.h"
 
@@ -155,6 +158,55 @@ TEST(TimeBudget, VerticalCounterPollsBudgetMidBatch) {
   EXPECT_FALSE(tiny_budget.exceeded());
   for (size_t i = 0; i < tiny.size(); ++i) {
     EXPECT_EQ(counts[i], db.CountSupport(tiny[i]));
+  }
+}
+
+TEST(TimeBudget, PrefixSharedBatchStopsAndAbortsTheRun) {
+  // Every 4-subset of 12 items in lexicographic order, as AprioriGen emits
+  // a level: neighbours share up to three items, so the vertical counter
+  // walks the batch on its prefix stack. The batch is several poll slices
+  // long; under an expired budget the count stops at a poll and the run
+  // that asked for it reports aborted.
+  TransactionDatabase db(12);
+  for (int i = 0; i < 50; ++i) {
+    db.AddTransaction({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  }
+  std::vector<Itemset> batch;
+  for (ItemId a = 0; a < 12; ++a) {
+    for (ItemId b = a + 1; b < 12; ++b) {
+      for (ItemId c = b + 1; c < 12; ++c) {
+        for (ItemId d = c + 1; d < 12; ++d) {
+          batch.push_back(Itemset{a, b, c, d});
+        }
+      }
+    }
+  }
+  ASSERT_GT(batch.size(), 4 * kVerticalBudgetCheckCandidates);
+  for (const CounterBackend backend :
+       {CounterBackend::kVertical, CounterBackend::kAuto}) {
+    const std::string context(CounterBackendName(backend));
+    MiningOptions options;
+    options.backend = backend;
+    options.time_budget_ms = 1e-6;
+    MiningRun run(db, options);
+    PassStats pass;
+    pass.pass = 4;
+    EXPECT_FALSE(run.Count(batch, pass).has_value()) << context;
+    EXPECT_EQ(pass.backend_used, "vertical") << context;
+    EXPECT_TRUE(run.aborted()) << context;
+    const MiningStats stats = run.Finish();
+    EXPECT_TRUE(stats.aborted) << context;
+    EXPECT_TRUE(stats.budget_exceeded) << context;
+
+    // With time to spare the same batch counts whole: every row holds
+    // every item.
+    options.time_budget_ms = 0;
+    MiningRun unbounded(db, options);
+    const std::optional<std::vector<uint64_t>> counts =
+        unbounded.Count(batch, pass);
+    ASSERT_TRUE(counts.has_value()) << context;
+    EXPECT_EQ(*counts, std::vector<uint64_t>(batch.size(), db.size()))
+        << context;
   }
 }
 

@@ -7,10 +7,10 @@
 //                                apriori | apriori-combined | pincer |
 //                                pincer-adaptive
 //     --backend=auto             auto | trie | hash_tree | linear |
-//                                vertical (auto picks trie or vertical per
-//                                pass from a deterministic cost model; the
-//                                pick lands in the stats as per-pass
-//                                backend_used)
+//                                vertical (auto counts through vertical
+//                                wherever its index fits a 1 GiB cap, else
+//                                through trie; the engine lands in the
+//                                stats as per-pass backend_used)
 //     --threads=1                counting worker threads (0 = all cores);
 //                                results are identical for every value
 //     --rules=<min_confidence>   also generate association rules
@@ -70,7 +70,9 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace pincer;
 
-  if (argc < 2) return Usage(argv[0]);
+  // A flag where the database path belongs (--help among them) is a usage
+  // error, never a file to open.
+  if (argc < 2 || argv[1][0] == '-') return Usage(argv[0]);
   const std::string path = argv[1];
 
   if (const Status armed = failpoint::ArmFromEnv(); !armed.ok()) {

@@ -1,6 +1,5 @@
 #include "counting/counter_factory.h"
 
-#include "counting/adaptive_counter.h"
 #include "counting/hash_tree.h"
 #include "counting/linear_counter.h"
 #include "counting/trie_counter.h"
@@ -24,6 +23,14 @@ std::string_view CounterBackendName(CounterBackend backend) {
   return "unknown";
 }
 
+CounterBackend AutoBackendFor(size_t num_items, size_t num_rows) {
+  const uint64_t words_per_item = num_rows / 64 + (num_rows % 64 != 0);
+  const uint64_t cap_words = kVerticalIndexByteCap / sizeof(uint64_t);
+  // Divides instead of multiplying, so no shape overflows.
+  const bool fits = num_items == 0 || words_per_item <= cap_words / num_items;
+  return fits ? CounterBackend::kVertical : CounterBackend::kTrie;
+}
+
 std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
                                               const TransactionDatabase& db,
                                               ThreadPool* pool) {
@@ -42,8 +49,7 @@ std::unique_ptr<SupportCounter> CreateCounter(CounterBackend backend,
       counter = std::make_unique<VerticalCounter>(db);
       break;
     case CounterBackend::kAuto:
-      counter = std::make_unique<AdaptiveCounter>(db);
-      break;
+      return CreateCounter(AutoBackendFor(db.num_items(), db.size()), db, pool);
   }
   if (counter != nullptr) counter->set_thread_pool(pool);
   return counter;

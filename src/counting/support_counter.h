@@ -25,10 +25,9 @@ class VerticalIndex;
 /// Apriori structure; kTrie is a prefix-tree variant; kVertical intersects
 /// per-item transaction bitmaps. Every backend scans on the worker pool
 /// attached with set_thread_pool (§5's parallel-mining direction).
-/// kAuto picks between the horizontal trie and the vertical bitmaps per
-/// CountSupports call from a deterministic cost model over the database
-/// density and the candidate batch shape (see counting/adaptive_counter.h);
-/// the pick is recorded per pass as PassStats::backend_used.
+/// kAuto is not an engine of its own: CreateCounter builds kVertical for a
+/// database whose index fits a fixed memory cap and kTrie otherwise (see
+/// counting/counter_factory.h), once per database.
 /// Enumerator values are stable: a retired backend's value is not reused
 /// (4 was the trie-plus-pool "parallel" backend).
 enum class CounterBackend {
@@ -57,15 +56,15 @@ class SupportCounter {
   /// Backend identifier for logs and stats.
   virtual CounterBackend backend() const = 0;
 
-  /// Backend that actually performed the most recent CountSupports call.
-  /// Identical to backend() for every static backend; the adaptive kAuto
-  /// wrapper overrides it to report its per-call pick so the miners can
-  /// record PassStats::backend_used.
+  /// Backend that actually performed the most recent CountSupports call,
+  /// recorded by the miners as PassStats::backend_used. Identical to
+  /// backend() for every engine; a wrapping counter reports the engine it
+  /// wraps.
   virtual CounterBackend backend_used() const { return backend(); }
 
   /// The per-item tidsets this counter holds, or null (the default) for a
   /// counter that keeps none. Pass 2 may fill its pair matrix from them
-  /// (MiningRun::CountPairs); the vertical and kAuto backends return theirs.
+  /// (MiningRun::CountPairs); the vertical backend returns its index.
   virtual const VerticalIndex* vertical_index() const { return nullptr; }
 
   /// Attaches an observability sink: subsequent CountSupports calls
@@ -73,8 +72,8 @@ class SupportCounter {
   /// the counter's use. Null (the default) disables collection; backends
   /// only touch the sink behind one per-call null test, so the disabled
   /// hook adds no measurable counting overhead (see EXPERIMENTS.md).
-  /// Virtual so that delegating backends (kAuto) can forward the sink to
-  /// the counters they wrap.
+  /// Virtual so that a wrapping counter can forward the sink to the counter
+  /// it wraps.
   virtual void set_metrics(CountingMetrics* metrics) { metrics_ = metrics; }
 
   /// Attaches a shared worker pool (must outlive the counter's use): the

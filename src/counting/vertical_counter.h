@@ -1,9 +1,9 @@
 // Vertical counting: per-item transaction bitmaps intersected per candidate.
 // Independent of the horizontal scan order, which makes it a good
 // cross-check backend in the test suite — and, since each candidate's count
-// is an exact word-level intersect-and-popcount, the backend of choice for
-// dense databases with deep candidate sets (see counting/adaptive_counter.h
-// for the selection policy).
+// is an exact word-level intersect-and-popcount, the engine backend=auto
+// builds wherever the index fits its memory cap (see
+// counting/counter_factory.h).
 
 #ifndef PINCER_COUNTING_VERTICAL_COUNTER_H_
 #define PINCER_COUNTING_VERTICAL_COUNTER_H_

@@ -34,15 +34,4 @@ uint64_t VerticalIndex::CountSupport(const Itemset& itemset) const {
   return acc.IntersectionCount(last);
 }
 
-DynamicBitset VerticalIndex::TidsOf(const Itemset& itemset) const {
-  if (itemset.empty()) {
-    DynamicBitset all(num_transactions_);
-    all.SetAll();
-    return all;
-  }
-  DynamicBitset acc = tidsets_[itemset[0]];
-  for (size_t i = 1; i < itemset.size(); ++i) acc &= tidsets_[itemset[i]];
-  return acc;
-}
-
 }  // namespace pincer

@@ -41,10 +41,6 @@ class VerticalIndex {
   /// common prefix across candidates.
   uint64_t CountSupport(const Itemset& itemset) const;
 
-  /// Materializes the intersection bitmap of `itemset` (the tidset of the
-  /// itemset).
-  DynamicBitset TidsOf(const Itemset& itemset) const;
-
  private:
   size_t num_transactions_;
   std::vector<DynamicBitset> tidsets_;

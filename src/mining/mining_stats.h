@@ -66,9 +66,9 @@ struct PassStats {
   double mfcs_index_ms = 0.0;
   /// Counting backend that served this pass's generic CountSupports call
   /// (schema v1.2 addition): a CounterBackendName value — under kAuto the
-  /// per-pass pick, otherwise the configured backend — or "array" for a
-  /// pass served entirely by the §4.1.1 array fast paths, which bypass the
-  /// generic backend.
+  /// engine built for the database, otherwise the configured backend — or
+  /// "array" for a pass served entirely by the §4.1.1 array fast paths,
+  /// which bypass the generic backend.
   std::string backend_used = "array";
 
   /// Emits this pass as one JSON object (see EXPERIMENTS.md for the

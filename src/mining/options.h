@@ -22,9 +22,10 @@ struct MiningOptions {
   double min_support = 0.01;
 
   /// Counting backend for passes >= 3 (and for MFCS elements in all passes).
-  /// kAuto picks the trie or the vertical bitmaps per pass from a
-  /// deterministic cost model (counting/adaptive_counter.h); the per-pass
-  /// pick is recorded as PassStats::backend_used. Result-invariant: every
+  /// kAuto counts through the vertical bitmaps wherever their index fits a
+  /// fixed memory cap and through the trie otherwise, picked once per
+  /// database from its shape (counting/counter_factory.h); every pass
+  /// records the engine as PassStats::backend_used. Result-invariant: every
   /// backend computes identical counts, so this knob (like num_threads) is
   /// excluded from the checkpoint options fingerprint.
   CounterBackend backend = CounterBackend::kTrie;

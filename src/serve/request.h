@@ -36,9 +36,9 @@ struct Request {
   std::string id;
 
   // kMine fields. Mirrors the mine_cli surface minus backend/threads: the
-  // daemon always counts through each database's resident adaptive counter
-  // and the shared pool, which is result-invariant (all backends count
-  // identically), so exposing the knobs would only fragment the cache.
+  // daemon always counts through each database's resident backend=auto
+  // counter and the shared pool, which is result-invariant (all backends
+  // count identically), so exposing the knobs would only fragment the cache.
   std::string database;
   double min_support = 0.0;
   Algorithm algorithm = Algorithm::kPincerAdaptive;

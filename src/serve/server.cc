@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "counting/counter_factory.h"
 #include "data/database_io.h"
 #include "mining/miner.h"
 #include "util/json_writer.h"
@@ -95,11 +96,11 @@ Status MiningService::Init(const ServerOptions& options) {
     resident->cache_key = DatabaseKey(resident->fingerprint);
     // Build the resident counter, and with it the vertical index transpose,
     // here, once, outside any query's latency. Served queries count only
-    // through it (trie and vertical), so the per-transaction bitset cache,
-    // which only the linear backend and TransactionDatabase::Supports read,
-    // is never built.
-    resident->counter = std::make_unique<AdaptiveCounter>(resident->db);
-    resident->counter->set_thread_pool(pool_.get());
+    // through it (vertical, or the trie where the index exceeds its cap),
+    // so the per-transaction bitset cache, which only the linear backend
+    // and TransactionDatabase::Supports read, is never built.
+    resident->counter =
+        CreateCounter(CounterBackend::kAuto, resident->db, pool_.get());
     databases_.push_back(std::move(resident));
   }
   return Status::OK();

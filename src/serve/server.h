@@ -1,8 +1,8 @@
 // The mining daemon: loads basket databases once, keeps them resident
-// (horizontal rows + the adaptive counter's vertical index), and
-// answers newline-delimited JSON mining queries over a Unix-domain or
-// loopback TCP socket. Split in two so the protocol logic is testable
-// without sockets:
+// (horizontal rows + the backend=auto counter, with its vertical index
+// wherever that fits), and answers newline-delimited JSON mining queries
+// over a Unix-domain or loopback TCP socket. Split in two so the protocol
+// logic is testable without sockets:
 //
 //   MiningService — owns the resident databases, the shared ThreadPool, and
 //     the ResultCache; maps one request line to one response line. No I/O.
@@ -27,7 +27,7 @@
 #include <thread>
 #include <vector>
 
-#include "counting/adaptive_counter.h"
+#include "counting/support_counter.h"
 #include "data/database.h"
 #include "data/row_policy.h"
 #include "mining/checkpoint.h"
@@ -94,9 +94,9 @@ class MiningService {
     /// The fingerprint's part of every cache key for this database.
     std::string cache_key;
     uint64_t rows_skipped = 0;
-    /// Every query counts through this counter (backend=auto) — the
-    /// per-pass horizontal/vertical pick still applies per query.
-    std::unique_ptr<AdaptiveCounter> counter;
+    /// Every query counts through this counter: the engine backend=auto
+    /// builds for this database (counting/counter_factory.h).
+    std::unique_ptr<SupportCounter> counter;
   };
 
   ResidentDatabase* FindDatabase(std::string_view name);

@@ -212,8 +212,8 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
     }
     // backend_used names the backend that actually served the pass: a
     // concrete CounterBackendName, or "array" for fast-path-only passes.
-    // "auto" in particular must never appear — the adaptive wrapper reports
-    // its per-pass pick, not itself.
+    // "auto" in particular must never appear — kAuto builds a concrete
+    // engine, which reports itself.
     if (pass.backend_used != "array" && pass.backend_used != "linear" &&
         pass.backend_used != "hash_tree" && pass.backend_used != "trie" &&
         pass.backend_used != "vertical") {
@@ -406,6 +406,17 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
       report.failures.insert(report.failures.end(),
                              std::make_move_iterator(violations.begin()),
                              std::make_move_iterator(violations.end()));
+      // Every sweep database's vertical index fits kAuto's memory cap, so
+      // each auto pass counts through the index or the arrays, never the
+      // trie.
+      if (config.options.backend != CounterBackend::kAuto) return;
+      for (const PassStats& pass : stats.per_pass) {
+        if (pass.backend_used != "vertical" && pass.backend_used != "array") {
+          report.failures.push_back(context + ": auto pass " +
+                                    std::to_string(pass.pass) + " recorded \"" +
+                                    pass.backend_used + "\"");
+        }
+      }
     };
     // Passes 1 and 2 of an Apriori driver make no other counter call, so
     // their backend_used names where the counts came from.

@@ -177,22 +177,28 @@ StatusOr<bool> LineReader::ReadLine(std::string& line) {
   PINCER_FAILPOINT("socket.read");
   line.clear();
   for (;;) {
-    const size_t newline = buffer_.find('\n', pos_);
+    const size_t newline = buffer_.find('\n', scan_);
     if (newline != std::string::npos) {
       line.assign(buffer_, pos_, newline - pos_);
       pos_ = newline + 1;
+      scan_ = pos_;
       // Compact once the consumed prefix dominates the buffer.
       if (pos_ > 4096 && pos_ * 2 > buffer_.size()) {
         buffer_.erase(0, pos_);
         pos_ = 0;
+        scan_ = 0;
       }
       return true;
     }
+    // Everything buffered so far is searched: the next search starts at
+    // the first byte the next recv appends.
+    scan_ = buffer_.size();
     if (eof_) {
       if (pos_ < buffer_.size()) {
         line.assign(buffer_, pos_, buffer_.size() - pos_);
         buffer_.clear();
         pos_ = 0;
+        scan_ = 0;
         return true;
       }
       return false;

@@ -96,7 +96,11 @@ class LineReader {
  private:
   const UniqueFd& fd_;
   std::string buffer_;
+  // Start of the unread line in buffer_.
   size_t pos_ = 0;
+  // buffer_[pos_, scan_) holds no '\n': each search starts at scan_, so a
+  // line spanning many recv chunks is scanned once.
+  size_t scan_ = 0;
   bool eof_ = false;
 };
 

@@ -189,9 +189,9 @@ TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
         ExpectMfsSupportsInTable(*resumed,
                                  context + " resumed at pass " +
                                      std::to_string(checkpoint.next_pass));
-        // The per-pass backend pick is re-derived on resume, never read
-        // back from the checkpoint — under kAuto the resumed run's passes
-        // must still record a concrete pick, never "auto".
+        // The engine is re-derived on resume, never read back from the
+        // checkpoint — under kAuto the resumed run's passes must still
+        // record a concrete engine, never "auto".
         for (const PassStats& pass : resumed->stats.per_pass) {
           EXPECT_NE(pass.backend_used, "auto")
               << context << " resumed at pass " << checkpoint.next_pass;

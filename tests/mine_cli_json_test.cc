@@ -180,6 +180,27 @@ TEST(MineCliJsonTest, EmptyStatsJsonPathIsUsageError) {
 #endif
 }
 
+// A flag where the database path belongs is a usage error: `--help` prints
+// the usage line and exits 2; it is never opened as a database file.
+TEST(MineCliJsonTest, FlagInPlaceOfDatabaseIsUsageError) {
+#ifndef PINCER_MINE_CLI_PATH
+  GTEST_SKIP() << "examples not built; mine_cli binary unavailable";
+#else
+  const std::string stderr_path =
+      testing::TempDir() + "/mine_cli_json_test_help.stderr";
+  std::ostringstream command;
+  command << PINCER_MINE_CLI_PATH << " --help > /dev/null 2> " << stderr_path;
+  const int status = std::system(command.str().c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream err(stderr_path);
+  std::ostringstream text;
+  text << err.rdbuf();
+  EXPECT_NE(text.str().find("usage: "), std::string::npos) << text.str();
+  EXPECT_EQ(text.str().find("IoError"), std::string::npos) << text.str();
+#endif
+}
+
 // Checkpoint fingerprint rejection through the real CLI: --resume with a
 // checkpoint written for different data or different options must fail
 // with a clear error, never silently remine or reuse.

@@ -52,6 +52,25 @@ TEST(Socket, WriteLineAndLineReaderRoundTrip) {
   ASSERT_TRUE(*reader.ReadLine(line));
   EXPECT_EQ(line, "gamma");
 
+  // A line spanning many recv chunks, then a short line in the same write:
+  // the search resumes where the previous chunk's ended, and restarts at
+  // the buffer's front after the long line is consumed and compacted. The
+  // write outgrows the socket buffer, so it runs on its own thread.
+  std::string long_line(300 * 1024, 'x');
+  for (size_t i = 0; i < long_line.size(); i += 997) long_line[i] = 'y';
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteLine(*client, long_line + "\nomega").ok());
+  });
+  std::string long_read;
+  std::string short_read;
+  const StatusOr<bool> got_long = reader.ReadLine(long_read);
+  const StatusOr<bool> got_short = reader.ReadLine(short_read);
+  writer.join();
+  ASSERT_TRUE(got_long.ok() && *got_long) << got_long.status();
+  EXPECT_EQ(long_read, long_line);
+  ASSERT_TRUE(got_short.ok() && *got_short) << got_short.status();
+  EXPECT_EQ(short_read, "omega");
+
   // A final unterminated line before EOF still comes through as a line.
   const char tail[] = "unterminated";
   ASSERT_EQ(::send(client->get(), tail, sizeof(tail) - 1, 0),

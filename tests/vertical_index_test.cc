@@ -42,17 +42,6 @@ TEST(VerticalIndex, CountSupportMatchesDirectScan) {
   }
 }
 
-TEST(VerticalIndex, TidsOfIntersectsBitmaps) {
-  const TransactionDatabase db = MakeDatabase({{0, 1}, {0}, {0, 1}});
-  const VerticalIndex index(db);
-  const DynamicBitset tids = index.TidsOf(Itemset{0, 1});
-  EXPECT_TRUE(tids.Test(0));
-  EXPECT_FALSE(tids.Test(1));
-  EXPECT_TRUE(tids.Test(2));
-  const DynamicBitset all = index.TidsOf(Itemset{});
-  EXPECT_EQ(all.Count(), 3u);
-}
-
 TEST(VerticalIndex, EmptyDatabase) {
   const TransactionDatabase db(3);
   const VerticalIndex index(db);

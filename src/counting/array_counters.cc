@@ -5,6 +5,7 @@
 #include <string>
 
 #include "counting/chunked_scan.h"
+#include "counting/counter_factory.h"
 #include "counting/vertical_counter.h"
 #include "util/contracts.h"
 
@@ -144,6 +145,45 @@ void PairCountMatrix::CountIndex(const VerticalIndex& index, ThreadPool* pool,
           }
         }
       });
+}
+
+bool PairCountMatrix::CopyFrom(const PairCountMatrix& covering) {
+  // Each item's rank in `covering`; monotone in item id, like this
+  // matrix's own ranks, so every row below reads its source row in order.
+  std::vector<uint32_t> ranks;
+  ranks.reserve(items_.size());
+  for (const ItemId item : items_) {
+    if (item >= covering.rank_of_.size() ||
+        covering.rank_of_[item] == kNoRank) {
+      return false;
+    }
+    ranks.push_back(covering.rank_of_[item]);
+  }
+  size_t cell = 0;
+  for (size_t i = 0; i + 1 < ranks.size(); ++i) {
+    const size_t base = covering.RowBase(ranks[i]);
+    for (size_t j = i + 1; j < ranks.size(); ++j) {
+      counts_[cell++] = covering.counts_[base + ranks[j]];
+    }
+  }
+  return true;
+}
+
+bool PairTable::Fill(PairCountMatrix& matrix) {
+  if (!matrix_.has_value() || !matrix.CopyFrom(*matrix_)) return false;
+  ++fills_;
+  return true;
+}
+
+void PairTable::Offer(const PairCountMatrix& matrix) {
+  const size_t items = matrix.frequent_items().size();
+  if (items <= num_items() ||
+      matrix.raw_counts().size() >
+          kVerticalIndexByteCap / sizeof(matrix.raw_counts()[0])) {
+    return;
+  }
+  matrix_ = matrix;
+  num_items_.store(items, std::memory_order_relaxed);
 }
 
 Status PairCountMatrix::RestoreCounts(const std::vector<uint64_t>& counts) {

@@ -3,11 +3,14 @@
 // and a triangular two-dimensional array counts all 2-itemsets over the
 // frequent items, with no candidate generation and no searching. The
 // triangle can also be filled from a vertical index, one tidset
-// intersection per pair, where PairFillPrefersIndex prices that cheaper.
+// intersection per pair, where PairFillPrefersIndex prices that cheaper, or
+// copied from a PairTable that a resident database keeps between runs.
 
 #ifndef PINCER_COUNTING_ARRAY_COUNTERS_H_
 #define PINCER_COUNTING_ARRAY_COUNTERS_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -84,6 +87,12 @@ class PairCountMatrix {
   void CountIndex(const VerticalIndex& index, ThreadPool* pool = nullptr,
                   ScanBudget* budget = nullptr);
 
+  /// The same cells copied from `covering`, a completed matrix over the
+  /// same database whose items include every item of this one: a pair's
+  /// count does not depend on which other items a matrix holds. False,
+  /// leaving the matrix unchanged, when `covering` lacks one of them.
+  bool CopyFrom(const PairCountMatrix& covering);
+
   /// Support count of the pair {a, b}. Both must be frequent items given at
   /// construction; a != b.
   uint64_t PairCount(ItemId a, ItemId b) const;
@@ -116,6 +125,40 @@ class PairCountMatrix {
   // fit in 32 bits: they index items_, whose ids are 32-bit and distinct.
   std::vector<uint32_t> rank_of_;
   std::vector<uint32_t> counts_;
+};
+
+/// The pass-2 counts a resident database keeps between runs
+/// (MiningOptions::resident_pairs): the largest completed matrix any run
+/// over the database has counted by the array scan. Pair counts depend on
+/// the database alone, and every item frequent at a threshold s' >= s is
+/// frequent at s, so a matrix counted at s fills pass 2 of every later run
+/// at or above s with a copy. Fill and Offer must be serialized by the
+/// owner; num_items() may be read from any thread at any time.
+class PairTable {
+ public:
+  /// Copies `matrix`'s cells from the table when it covers all of the
+  /// matrix's items, and returns true; false, leaving `matrix` unchanged,
+  /// otherwise.
+  bool Fill(PairCountMatrix& matrix);
+
+  /// Keeps a copy of `matrix`, whose counts must be complete, when it holds
+  /// more items than the table and its cells fit kVerticalIndexByteCap.
+  void Offer(const PairCountMatrix& matrix);
+
+  /// Items the table covers: 0 until an Offer is kept.
+  size_t num_items() const {
+    return num_items_.load(std::memory_order_relaxed);
+  }
+
+  /// Fill calls the table has served.
+  uint64_t fills() const { return fills_; }
+
+ private:
+  std::optional<PairCountMatrix> matrix_;
+  // matrix_'s item count, published for readers that do not serialize with
+  // Fill and Offer.
+  std::atomic<size_t> num_items_{0};
+  uint64_t fills_ = 0;
 };
 
 }  // namespace pincer

@@ -87,7 +87,11 @@ std::optional<std::vector<uint64_t>> MiningRun::Count(
     ScopedMsTimer timer(pass.counting_ms);
     counts = counter_->CountSupports(batch);
   }
-  pass.backend_used = std::string(CounterBackendName(counter_->backend_used()));
+  if (named_pass_ != pass.pass) {
+    named_pass_ = pass.pass;
+    pass.backend_used =
+        std::string(CounterBackendName(counter_->backend_used()));
+  }
   if (ScanStopped()) return std::nullopt;
   return counts;
 }
@@ -102,6 +106,7 @@ std::optional<std::vector<uint64_t>> MiningRun::CountItems(
     }
     return Count(singles, pass);
   }
+  named_pass_ = pass.pass;
   // The counter's vertical index already holds every item's support.
   const VerticalIndex* index = counter_->vertical_index();
   std::vector<uint64_t> counts;
@@ -121,22 +126,28 @@ std::optional<std::vector<uint64_t>> MiningRun::CountItems(
 bool MiningRun::CountPairs(PairCountMatrix& matrix,
                            const std::vector<uint64_t>& supports,
                            PassStats& pass) {
+  named_pass_ = pass.pass;
   const VerticalIndex* index = counter_->vertical_index();
   const bool from_index =
       index != nullptr && PairFillPrefersIndex(db_.size(), supports);
+  PairTable* const table = options_.resident_pairs;
+  bool scanned = false;
   {
     ScopedMsTimer timer(pass.counting_ms);
     if (from_index) {
       matrix.CountIndex(*index, pool_, scan_budget());
-    } else {
+    } else if (table == nullptr || !table->Fill(matrix)) {
       matrix.CountDatabase(db_, pool_, scan_budget());
+      scanned = true;
     }
   }
   if (from_index) {
     pass.backend_used =
         std::string(CounterBackendName(CounterBackend::kVertical));
   }
-  return !ScanStopped();
+  if (ScanStopped()) return false;
+  if (scanned && table != nullptr) table->Offer(matrix);
+  return true;
 }
 
 void MiningRun::RecordPass(PassStats pass) {
@@ -152,6 +163,7 @@ MiningOptions MiningRun::NestedOptions() const {
   MiningOptions nested = options_;
   nested.shared_pool = pool_;
   nested.resident_counter = nullptr;
+  nested.resident_pairs = nullptr;
   nested.checkpoint_sink = nullptr;
   if (budget_.has_value()) {
     nested.time_budget_ms = std::max(budget_->RemainingMillis(),

@@ -83,9 +83,12 @@ class MiningRun {
   bool StopBeforePass() { return PassCapReached() || BudgetExpired(); }
 
   /// Counts `batch` in one database read, adding the scan time to
-  /// pass.counting_ms and recording the backend that served it as
-  /// pass.backend_used. nullopt when the budget expired mid-scan: the
-  /// counts were partial, and the run is aborted.
+  /// pass.counting_ms. The first count of a pass names its engine: Count
+  /// records the backend that served it as pass.backend_used unless an
+  /// earlier Count, CountItems or CountPairs of the same pass already did,
+  /// so the MFCS elements a Pincer pass counts after its candidates leave
+  /// the candidates' engine in place. nullopt when the budget expired
+  /// mid-scan: the counts were partial, and the run is aborted.
   std::optional<std::vector<uint64_t>> Count(const std::vector<Itemset>& batch,
                                              PassStats& pass);
 
@@ -93,15 +96,18 @@ class MiningRun {
   /// `array_fast_path`. With the fast path, the supports are copied from
   /// the counter's vertical index when it has one, recording
   /// pass.backend_used "vertical", and otherwise counted by the §4.1.1
-  /// array scan. nullopt as for Count.
+  /// array scan, which leaves it "array". nullopt as for Count.
   std::optional<std::vector<uint64_t>> CountItems(PassStats& pass,
                                                   bool array_fast_path);
 
   /// Pass 2: counts every pair of `matrix`'s items, whose pass-1 supports
   /// are `supports` in the same order. The matrix is filled from the
   /// counter's vertical index, recording pass.backend_used "vertical", when
-  /// the counter has one and PairFillPrefersIndex picks it; otherwise by
-  /// the §4.1.1 array scan. False when the budget expired mid-count.
+  /// the counter has one and PairFillPrefersIndex picks it. Otherwise
+  /// pass.backend_used stays "array": the cells are copied from
+  /// options.resident_pairs when that table covers the matrix's items, and
+  /// counted by the §4.1.1 array scan when not, the completed matrix then
+  /// offered to the table. False when the budget expired mid-count.
   bool CountPairs(PairCountMatrix& matrix,
                   const std::vector<uint64_t>& supports, PassStats& pass);
 
@@ -113,7 +119,8 @@ class MiningRun {
   /// Options for a run nested in this one (Partition's local runs,
   /// Sampling's sample and fallback runs): this run's pool; no resident
   /// counter, which is bound to this run's database and wears its sinks;
-  /// no checkpoint sink; and only the budget that remains — never 0, which
+  /// no resident pair table, whose counts are this run's database's; no
+  /// checkpoint sink; and only the budget that remains — never 0, which
   /// would mean unlimited, once it is spent.
   MiningOptions NestedOptions() const;
 
@@ -165,6 +172,8 @@ class MiningRun {
   MiningStats stats_;
   // Wall time a resumed run's checkpoint already covers.
   double elapsed_base_ = 0;
+  // The last pass whose backend_used a count has named (0 = none yet).
+  size_t named_pass_ = 0;
   bool sink_error_logged_ = false;
 };
 

@@ -64,11 +64,13 @@ struct PassStats {
   /// disjoint from mfcs_update_ms, so the phase timers still sum to at
   /// most the pass wall time; 0 for Apriori).
   double mfcs_index_ms = 0.0;
-  /// Counting backend that served this pass's generic CountSupports call
-  /// (schema v1.2 addition): a CounterBackendName value — under kAuto the
-  /// engine built for the database, otherwise the configured backend — or
-  /// "array" for a pass served entirely by the §4.1.1 array fast paths,
-  /// which bypass the generic backend.
+  /// Where this pass's own candidates were counted (schema v1.2 addition):
+  /// a CounterBackendName value — under kAuto the engine built for the
+  /// database, otherwise the configured backend — for a generic
+  /// CountSupports call; "vertical" for a pass 1 or 2 read from the
+  /// counter's vertical index; "array" for a pass 1 or 2 counted by the
+  /// §4.1.1 arrays (or copied from a resident pair table). The MFCS
+  /// elements a Pincer pass counts after its candidates leave it as is.
   std::string backend_used = "array";
 
   /// Emits this pass as one JSON object (see EXPERIMENTS.md for the

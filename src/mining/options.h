@@ -12,6 +12,7 @@
 namespace pincer {
 
 struct Checkpoint;
+class PairTable;
 class ThreadPool;
 
 /// Options accepted by both miners. Pincer-specific fields are ignored by
@@ -96,6 +97,16 @@ struct MiningOptions {
   /// and therefore excluded from the checkpoint options fingerprint. The
   /// counter must outlive the run; concurrent runs must not share one.
   SupportCounter* resident_counter = nullptr;
+
+  /// Resident mode: a non-owning pair table (counting/array_counters.h)
+  /// kept for the same database this run mines. Where pass 2 would count
+  /// its pairs by the array scan, the run copies them from the table when
+  /// the table covers its frequent items, and otherwise scans as usual and
+  /// offers the completed matrix to the table. Pass 2 records "array"
+  /// either way. Result-invariant, excluded from the options fingerprint,
+  /// and never handed to a nested run. The table must outlive the run;
+  /// concurrent runs must not share one.
+  PairTable* resident_pairs = nullptr;
 
   /// Resident mode: a non-owning worker pool to run counting scans on
   /// instead of creating a per-run pool. `num_threads` is then ignored

@@ -147,6 +147,8 @@ std::string MiningService::HandleList(const Request& request) {
                   static_cast<uint64_t>(resident->db.size()));
     json.KeyValue("num_items",
                   static_cast<uint64_t>(resident->db.num_items()));
+    json.KeyValue("pair_items",
+                  static_cast<uint64_t>(resident->pairs.num_items()));
     json.EndObject();
   }
   json.EndArray();
@@ -197,13 +199,14 @@ std::shared_ptr<const std::string> StatsJson(const MiningStats& stats) {
 // serialized, so every response serving it splices the same bytes;
 // `query_counting` is the counting work THIS query did — all zeros on a
 // cache hit or filter, which is the serving layer's core claim and what
-// the integration tests pin.
+// the integration tests pin — and `resident_pairs` whether THIS query's
+// pass 2 was copied from the database's pair table.
 std::string MineResponse(const Request& request, std::string_view database,
                          size_t num_transactions, size_t num_items,
                          std::string_view cache,
                          const ResultCache::Entry& answer,
                          const CountingMetrics& query_counting,
-                         double query_elapsed_ms) {
+                         bool resident_pairs, double query_elapsed_ms) {
   std::ostringstream os;
   JsonWriter json(os, /*indent=*/0);
   json.BeginObject();
@@ -223,6 +226,7 @@ std::string MineResponse(const Request& request, std::string_view database,
   json.Key("mfs").RawValue(answer.mfs_json);
   json.Key("query").BeginObject();
   json.KeyValue("elapsed_ms", query_elapsed_ms);
+  json.KeyValue("resident_pairs", resident_pairs);
   json.Key("counting");
   query_counting.ToJson(json);
   json.EndObject();
@@ -293,7 +297,8 @@ std::string MiningService::HandleMine(const Request& request) {
     if (exact != nullptr) {
       return MineResponse(request, resident->name, resident->db.size(),
                           resident->db.num_items(), "hit", *exact,
-                          kNoCounting, query_timer.ElapsedMillis());
+                          kNoCounting, /*resident_pairs=*/false,
+                          query_timer.ElapsedMillis());
     }
     if (base != nullptr) {
       // A run at a lower threshold is cached: try answering by filtering
@@ -317,13 +322,15 @@ std::string MiningService::HandleMine(const Request& request) {
         }
         return MineResponse(request, resident->name, resident->db.size(),
                             resident->db.num_items(), "filter", *derived,
-                            kNoCounting, query_timer.ElapsedMillis());
+                            kNoCounting, /*resident_pairs=*/false,
+                            query_timer.ElapsedMillis());
       }
     }
   }
 
-  // Full mine. Serialized: the shared pool and the resident counter are
-  // single-owner. Cache hits for other sessions proceed concurrently.
+  // Full mine. Serialized: the shared pool, the resident counter and the
+  // pair table are single-owner. Cache hits for other sessions proceed
+  // concurrently.
   MutexLock mining_lock(mining_mu_);
   if (!request.no_cache) {
     // An identical query may have finished while this one waited its turn.
@@ -335,18 +342,14 @@ std::string MiningService::HandleMine(const Request& request) {
     if (exact != nullptr) {
       return MineResponse(request, resident->name, resident->db.size(),
                           resident->db.num_items(), "hit", *exact,
-                          kNoCounting, query_timer.ElapsedMillis());
+                          kNoCounting, /*resident_pairs=*/false,
+                          query_timer.ElapsedMillis());
     }
   }
 
-  options.resident_counter = resident->counter.get();
-  options.shared_pool = pool_.get();
+  bool resident_pairs = false;
   MaximalSetResult result =
-      MineMaximal(resident->db, options, request.algorithm);
-  // Same accounting as mine_cli: load-time row drops ride on every run's
-  // stats so served stats match a cold CLI run on the same file.
-  result.stats.rows_skipped += resident->rows_skipped;
-  result.stats.rows_dropped_items += resident->db.num_dropped_items();
+      MineResident(*resident, options, request.algorithm, resident_pairs);
 
   // The run is serialized once. A cacheable answer becomes the entry that
   // later hits and filters serve; either way the response is built from it.
@@ -370,7 +373,25 @@ std::string MiningService::HandleMine(const Request& request) {
   }
   return MineResponse(request, resident->name, resident->db.size(),
                       resident->db.num_items(), "miss", *answer,
-                      result.stats.counting, query_timer.ElapsedMillis());
+                      result.stats.counting, resident_pairs,
+                      query_timer.ElapsedMillis());
+}
+
+MaximalSetResult MiningService::MineResident(ResidentDatabase& resident,
+                                             MiningOptions options,
+                                             Algorithm algorithm,
+                                             bool& resident_pairs) {
+  options.resident_counter = resident.counter.get();
+  options.resident_pairs = &resident.pairs;
+  options.shared_pool = pool_.get();
+  const uint64_t fills = resident.pairs.fills();
+  MaximalSetResult result = MineMaximal(resident.db, options, algorithm);
+  resident_pairs = resident.pairs.fills() != fills;
+  // Same accounting as mine_cli: load-time row drops ride on every run's
+  // stats so served stats match a cold CLI run on the same file.
+  result.stats.rows_skipped += resident.rows_skipped;
+  result.stats.rows_dropped_items += resident.db.num_dropped_items();
+  return result;
 }
 
 Status Server::ListenUnix(const std::string& path) {

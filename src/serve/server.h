@@ -1,8 +1,9 @@
 // The mining daemon: loads basket databases once, keeps them resident
 // (horizontal rows + the backend=auto counter, with its vertical index
-// wherever that fits), and answers newline-delimited JSON mining queries
-// over a Unix-domain or loopback TCP socket. Split in two so the protocol
-// logic is testable without sockets:
+// wherever that fits, + the pass-2 pair table the queries' array scans
+// fill), and answers newline-delimited JSON mining queries over a
+// Unix-domain or loopback TCP socket. Split in two so the protocol logic
+// is testable without sockets:
 //
 //   MiningService — owns the resident databases, the shared ThreadPool, and
 //     the ResultCache; maps one request line to one response line. No I/O.
@@ -10,11 +11,11 @@
 //     util/socket.h, feeding lines through a MiningService.
 //
 // Concurrency model: sessions run concurrently, but mining itself is
-// serialized on one mutex — the ThreadPool is single-owner and the resident
-// counters must not be shared mid-run, and a mining query saturates the
-// pool's workers anyway. Cache hits bypass the mining mutex entirely, so
-// repeat queries are never stuck behind a long mine. Request/response
-// schemas are documented in docs/serving.md.
+// serialized on one mutex — the ThreadPool is single-owner, the resident
+// counters and pair tables must not be shared mid-run, and a mining query
+// saturates the pool's workers anyway. Cache hits bypass the mining mutex
+// entirely, so repeat queries are never stuck behind a long mine.
+// Request/response schemas are documented in docs/serving.md.
 
 #ifndef PINCER_SERVE_SERVER_H_
 #define PINCER_SERVE_SERVER_H_
@@ -27,10 +28,12 @@
 #include <thread>
 #include <vector>
 
+#include "counting/array_counters.h"
 #include "counting/support_counter.h"
 #include "data/database.h"
 #include "data/row_policy.h"
 #include "mining/checkpoint.h"
+#include "mining/miner.h"
 #include "serve/request.h"
 #include "serve/result_cache.h"
 #include "util/socket.h"
@@ -97,11 +100,23 @@ class MiningService {
     /// Every query counts through this counter: the engine backend=auto
     /// builds for this database (counting/counter_factory.h).
     std::unique_ptr<SupportCounter> counter;
+    /// The largest pass-2 matrix any query's array scan has counted
+    /// (counting/array_counters.h), which fills pass 2 of every later
+    /// query it covers. Like the counter, used only by MineResident, under
+    /// mining_mu_; `list` reads only its atomic num_items().
+    PairTable pairs;
   };
 
   ResidentDatabase* FindDatabase(std::string_view name);
   std::string HandleMine(const Request& request) PINCER_EXCLUDES(mining_mu_);
   std::string HandleList(const Request& request) PINCER_EXCLUDES(cache_mu_);
+  /// One mine of `resident` through its counter and pair table on the
+  /// shared pool, all single-owner. `resident_pairs` reports whether pass 2
+  /// was copied from the pair table.
+  MaximalSetResult MineResident(ResidentDatabase& resident,
+                                MiningOptions options, Algorithm algorithm,
+                                bool& resident_pairs)
+      PINCER_REQUIRES(mining_mu_);
 
   // options_, pool_, and databases_ are written only by Init(), which the
   // contract requires to complete before the first HandleLine; after that
@@ -111,9 +126,10 @@ class MiningService {
   ServerOptions options_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<ResidentDatabase>> databases_;
-  /// Serializes actual mining (shared pool + resident counters are
-  /// single-owner). Cache lookups do not take it. Lock order: mining_mu_
-  /// before cache_mu_ (HandleMine re-checks and inserts while mining).
+  /// Serializes actual mining (shared pool, resident counters and pair
+  /// tables are single-owner). Cache lookups do not take it. Lock order:
+  /// mining_mu_ before cache_mu_ (HandleMine re-checks and inserts while
+  /// mining).
   Mutex mining_mu_;
   Mutex cache_mu_ PINCER_ACQUIRED_AFTER(mining_mu_);
   std::unique_ptr<ResultCache> cache_ PINCER_GUARDED_BY(cache_mu_)

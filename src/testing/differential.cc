@@ -9,6 +9,7 @@
 #include "apriori/apriori.h"
 #include "apriori/apriori_combined.h"
 #include "core/pincer_search.h"
+#include "counting/array_counters.h"
 #include "counting/counter_factory.h"
 #include "counting/support_counter.h"
 #include "extensions/partition.h"
@@ -329,7 +330,8 @@ std::string DifferentialReport::Summary() const {
      << index_item_counts << " pass-1 count(s) from the index and "
      << array_item_counts << " from the array, " << index_pair_fills
      << " pass-2 index fill(s) and " << array_pair_fills
-     << " array fill(s) under an index: ";
+     << " array fill(s) under an index, " << pair_table_fills
+     << " rerun(s) filled from a pair table: ";
   if (failures.empty()) {
     os << "all agree with the oracle";
     return os.str();
@@ -371,10 +373,26 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
     return it->second;
   };
 
+  // A pair table filled by a mine below every threshold of the grid, as a
+  // resident database's would be: its matrix covers every configuration's
+  // pass 2. The trie holds no vertical index, so that mine's pass 2 scans
+  // and offers its matrix.
+  PairTable lower_table;
+  if (!configs.empty()) {
+    MiningOptions fill;
+    fill.min_support = configs.front().options.min_support;
+    for (const DifferentialConfig& config : configs) {
+      fill.min_support = std::min(fill.min_support, config.options.min_support);
+    }
+    fill.min_support /= 2;
+    fill.backend = CounterBackend::kTrie;
+    fill.resident_pairs = &lower_table;
+    AprioriMine(db, fill);
+  }
+
   for (const DifferentialConfig& config : configs) {
     ++report.configs_run;
-    const std::string context =
-        std::string(db_label) + "/" + config.Label();
+    const std::string label = std::string(db_label) + "/" + config.Label();
     const Oracle& oracle = oracle_for(config.options.min_support);
 
     StatsExpectations expect;
@@ -386,50 +404,120 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
     expect.abort_implies_budget = config.options.time_budget_ms > 0 &&
                                   config.options.max_passes == 0;
 
-    auto check_frequent = [&](const std::vector<FrequentItemset>& got) {
-      if (got != oracle.frequent) {
-        report.failures.push_back(
-            context + ": frequent set diverges from oracle (" +
-            DescribeDifference(got, oracle.frequent) + ")");
-      }
-    };
-    auto check_maximal = [&](const std::vector<FrequentItemset>& got) {
-      if (got != oracle.maximal) {
-        report.failures.push_back(context + ": MFS diverges from oracle (" +
-                                  DescribeDifference(got, oracle.maximal) +
-                                  ")");
-      }
-    };
-    auto check_stats = [&](const MiningStats& stats) {
-      std::vector<std::string> violations =
-          CheckStatsInvariants(stats, expect, context);
-      report.failures.insert(report.failures.end(),
-                             std::make_move_iterator(violations.begin()),
-                             std::make_move_iterator(violations.end()));
-      // Every sweep database's vertical index fits kAuto's memory cap, so
-      // each auto pass counts through the index or the arrays, never the
-      // trie.
-      if (config.options.backend != CounterBackend::kAuto) return;
-      for (const PassStats& pass : stats.per_pass) {
-        if (pass.backend_used != "vertical" && pass.backend_used != "array") {
-          report.failures.push_back(context + ": auto pass " +
-                                    std::to_string(pass.pass) + " recorded \"" +
-                                    pass.backend_used + "\"");
+    // Mines `options` (the config's, plus a pair table) and checks the
+    // result against the oracle and the stats invariants; returns the
+    // stats.
+    auto run = [&](const MiningOptions& options,
+                   const std::string& context) -> MiningStats {
+      auto check_frequent = [&](const std::vector<FrequentItemset>& got) {
+        if (got != oracle.frequent) {
+          report.failures.push_back(
+              context + ": frequent set diverges from oracle (" +
+              DescribeDifference(got, oracle.frequent) + ")");
+        }
+      };
+      auto check_maximal = [&](const std::vector<FrequentItemset>& got) {
+        if (got != oracle.maximal) {
+          report.failures.push_back(context + ": MFS diverges from oracle (" +
+                                    DescribeDifference(got, oracle.maximal) +
+                                    ")");
+        }
+      };
+      auto check_stats = [&](const MiningStats& stats) {
+        std::vector<std::string> violations =
+            CheckStatsInvariants(stats, expect, context);
+        report.failures.insert(report.failures.end(),
+                               std::make_move_iterator(violations.begin()),
+                               std::make_move_iterator(violations.end()));
+        // Every sweep database's vertical index fits kAuto's memory cap, so
+        // each auto pass counts through the index or the arrays, never the
+        // trie.
+        if (options.backend != CounterBackend::kAuto) return;
+        for (const PassStats& pass : stats.per_pass) {
+          if (pass.backend_used != "vertical" &&
+              pass.backend_used != "array") {
+            report.failures.push_back(context + ": auto pass " +
+                                      std::to_string(pass.pass) +
+                                      " recorded \"" + pass.backend_used +
+                                      "\"");
+          }
+        }
+      };
+
+      switch (config.miner) {
+        case Miner::kApriori: {
+          const FrequentSetResult result = AprioriMine(db, options);
+          check_frequent(result.frequent);
+          check_maximal(result.MaximalItemsets());
+          check_stats(result.stats);
+          return result.stats;
+        }
+        case Miner::kAprioriCombined: {
+          const FrequentSetResult result = AprioriCombinedMine(db, options);
+          check_frequent(result.frequent);
+          check_maximal(result.MaximalItemsets());
+          check_stats(result.stats);
+          return result.stats;
+        }
+        case Miner::kPincer: {
+          const MaximalSetResult result = PincerSearch(db, options);
+          check_maximal(result.mfs);
+          check_stats(result.stats);
+          for (const FrequentItemset& fi : result.mfs) {
+            if (result.supports.Lookup(fi.itemset) != fi.support) {
+              report.failures.push_back(context + ": result.supports lacks " +
+                                        fi.itemset.ToString() +
+                                        "'s support");
+            }
+          }
+          return result.stats;
+        }
+        case Miner::kPartition: {
+          PartitionOptions popts;
+          popts.num_partitions = config.num_partitions;
+          const FrequentSetResult result = PartitionMine(db, options, popts);
+          check_frequent(result.frequent);
+          check_maximal(result.MaximalItemsets());
+          check_stats(result.stats);
+          return result.stats;
+        }
+        case Miner::kSampling: {
+          SamplingOptions sopts;
+          sopts.sample_fraction = config.sample_fraction;
+          sopts.seed = config.sampling_seed;
+          const FrequentSetResult result = SamplingMine(db, options, sopts);
+          check_frequent(result.frequent);
+          check_stats(result.stats);
+          return result.stats;
         }
       }
+      return MiningStats{};
     };
-    // Passes 1 and 2 of an Apriori driver make no other counter call, so
-    // their backend_used names where the counts came from.
-    auto tally_fast_passes = [&](const MiningStats& stats) {
-      if (!config.options.use_array_fast_path) return;
+
+    // The config's own run. It also fills a fresh pair table, which,
+    // empty, changes nothing about the run: its pass 2 counts as it would
+    // without one and then offers its matrix.
+    PairTable same_table;
+    MiningOptions options = config.options;
+    options.resident_pairs = &same_table;
+    const MiningStats cold = run(options, label);
+
+    // Passes 1 and 2 of the paper drivers: their backend_used names where
+    // their own candidates were counted, whatever MFCS elements a Pincer
+    // pass counts after them.
+    if (config.options.use_array_fast_path &&
+        config.miner != Miner::kPartition && config.miner != Miner::kSampling) {
       const bool holds_index =
           config.options.backend == CounterBackend::kVertical ||
           config.options.backend == CounterBackend::kAuto;
-      for (const PassStats& pass : stats.per_pass) {
+      for (const PassStats& pass : cold.per_pass) {
         if (pass.pass > 2) break;
+        // A Pincer pass 2 over fewer than two frequent items counts only
+        // MFCS elements.
+        if (pass.num_candidates == 0) continue;
         const std::string& used = pass.backend_used;
         if (!holds_index && used != "array") {
-          report.failures.push_back(context + ": pass " +
+          report.failures.push_back(label + ": pass " +
                                     std::to_string(pass.pass) + " recorded \"" +
                                     used + "\" without a vertical index");
         }
@@ -441,57 +529,39 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
           if (used == "array") ++report.array_pair_fills;
         }
       }
-    };
+    }
 
-    switch (config.miner) {
-      case Miner::kApriori: {
-        const FrequentSetResult result = AprioriMine(db, config.options);
-        check_frequent(result.frequent);
-        check_maximal(result.MaximalItemsets());
-        check_stats(result.stats);
-        tally_fast_passes(result.stats);
-        break;
+    // Once more with each table: the one a lower threshold filled, and the
+    // one the run above filled at this threshold. Wherever pass 2 is copied
+    // from a table, the answer and every pass's structural figures must be
+    // the run's own.
+    for (PairTable* const table : {&lower_table, &same_table}) {
+      const std::string context =
+          label + (table == &lower_table ? "/pairs-lower" : "/pairs-same");
+      const uint64_t fills = table->fills();
+      options.resident_pairs = table;
+      const MiningStats warm = run(options, context);
+      if (table->fills() != fills) ++report.pair_table_fills;
+      if (warm.per_pass.size() != cold.per_pass.size()) {
+        report.failures.push_back(context + ": " +
+                                  std::to_string(warm.per_pass.size()) +
+                                  " passes, the first run " +
+                                  std::to_string(cold.per_pass.size()));
+        continue;
       }
-      case Miner::kAprioriCombined: {
-        const FrequentSetResult result =
-            AprioriCombinedMine(db, config.options);
-        check_frequent(result.frequent);
-        check_maximal(result.MaximalItemsets());
-        check_stats(result.stats);
-        tally_fast_passes(result.stats);
-        break;
-      }
-      case Miner::kPincer: {
-        const MaximalSetResult result = PincerSearch(db, config.options);
-        check_maximal(result.mfs);
-        check_stats(result.stats);
-        for (const FrequentItemset& fi : result.mfs) {
-          if (result.supports.Lookup(fi.itemset) != fi.support) {
-            report.failures.push_back(context + ": result.supports lacks " +
-                                      fi.itemset.ToString() + "'s support");
-          }
+      for (size_t i = 0; i < warm.per_pass.size(); ++i) {
+        const PassStats& a = warm.per_pass[i];
+        const PassStats& b = cold.per_pass[i];
+        if (a.pass != b.pass || a.num_candidates != b.num_candidates ||
+            a.num_mfcs_candidates != b.num_mfcs_candidates ||
+            a.num_frequent != b.num_frequent ||
+            a.num_mfs_found != b.num_mfs_found ||
+            a.mfcs_size_after != b.mfcs_size_after ||
+            a.backend_used != b.backend_used) {
+          report.failures.push_back(context + ": pass " +
+                                    std::to_string(b.pass) +
+                                    " differs from the first run");
         }
-        break;
-      }
-      case Miner::kPartition: {
-        PartitionOptions popts;
-        popts.num_partitions = config.num_partitions;
-        const FrequentSetResult result =
-            PartitionMine(db, config.options, popts);
-        check_frequent(result.frequent);
-        check_maximal(result.MaximalItemsets());
-        check_stats(result.stats);
-        break;
-      }
-      case Miner::kSampling: {
-        SamplingOptions sopts;
-        sopts.sample_fraction = config.sample_fraction;
-        sopts.seed = config.sampling_seed;
-        const FrequentSetResult result =
-            SamplingMine(db, config.options, sopts);
-        check_frequent(result.frequent);
-        check_stats(result.stats);
-        break;
       }
     }
   }

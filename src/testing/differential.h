@@ -115,16 +115,18 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
 struct DifferentialReport {
   size_t configs_run = 0;
   size_t databases = 0;
-  /// Pass-1 item counts of the Apriori drivers with the array fast path,
-  /// by where pass 1 recorded they came from: the vertical index's item
-  /// supports or the array scan.
+  /// Pass-1 item counts of the paper drivers (Apriori, the combined
+  /// variant, Pincer) with the array fast path, by where pass 1 recorded
+  /// they came from: the vertical index's item supports or the array scan.
   size_t index_item_counts = 0;
   size_t array_item_counts = 0;
-  /// Pass-2 pair fills of the Apriori drivers with the array fast path
-  /// under a backend that holds a vertical index (vertical, auto), by the
-  /// engine pass 2 recorded: the index fill or the array scan.
+  /// Pass-2 pair fills of the paper drivers with the array fast path under
+  /// a backend that holds a vertical index (vertical, auto), by the engine
+  /// pass 2 recorded: the index fill or the array scan.
   size_t index_pair_fills = 0;
   size_t array_pair_fills = 0;
+  /// Reruns whose pass 2 was copied from a pre-filled pair table.
+  size_t pair_table_fills = 0;
   std::vector<std::string> failures;
 
   bool ok() const { return failures.empty(); }
@@ -134,9 +136,14 @@ struct DifferentialReport {
 
 /// Runs every config against `db`, comparing mined results bit for bit
 /// against the brute-force oracle (computed once per distinct min_support)
-/// and checking stats invariants: an Apriori driver's pass-1 and pass-2
+/// and checking stats invariants: a paper driver's pass-1 and pass-2
 /// array fast paths must record "array" under a backend without a vertical
-/// index. Appends to `report`, tallying the pass-1 and pass-2 sources.
+/// index. Each config then runs twice more with a pair table
+/// (MiningOptions::resident_pairs), one filled by a mine below every
+/// threshold of `configs` and one filled by the config's own run; each
+/// rerun must match the oracle and the first run's per-pass figures and
+/// backend_used. Appends to `report`, tallying the pass-1 and pass-2
+/// sources and the reruns the tables served.
 void RunConfigsOnDatabase(const TransactionDatabase& db,
                           std::string_view db_label,
                           const std::vector<DifferentialConfig>& configs,

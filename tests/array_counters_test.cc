@@ -10,6 +10,7 @@
 #include "counting/scan_budget.h"
 #include "data/vertical_index.h"
 #include "testing/db_builder.h"
+#include "util/prng.h"
 #include "util/thread_pool.h"
 
 namespace pincer {
@@ -236,6 +237,91 @@ TEST(PairCountMatrix, RestoreRejectsCountsPastACell) {
   EXPECT_EQ(matrix.PairCount(0, 2), 2u);
   EXPECT_TRUE(matrix.RestoreCounts({0, UINT32_MAX, 0}).ok());
   EXPECT_EQ(matrix.PairCount(0, 2), uint64_t{UINT32_MAX});
+}
+
+TEST(PairTable, FillsEveryCoveredMatrixWithTheCountedCells) {
+  // A table offered the matrix of 48 of a random database's 64 items fills
+  // matrices over random subsets of them with the cells CountDatabase and
+  // CountIndex give, at 1, 2 and 8 threads; a matrix holding an item the
+  // table lacks is left as it was.
+  RandomDbParams params;
+  params.num_items = 64;
+  params.num_transactions = 300;
+  params.item_probability = 0.3;
+  params.seed = 29;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  const VerticalIndex index(db);
+  std::vector<ItemId> covered;
+  for (ItemId item = 0; item < 64; ++item) {
+    if (item % 4 != 3) covered.push_back(item);
+  }
+  Prng prng(31);
+  for (const size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    PairTable table;
+    PairCountMatrix offered(covered);
+    offered.CountDatabase(db, &pool);
+    table.Offer(offered);
+    ASSERT_EQ(table.num_items(), covered.size());
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<ItemId> items;
+      for (const ItemId item : covered) {
+        if (prng.Bernoulli(trial / 20.0)) items.push_back(item);
+      }
+      PairCountMatrix scanned(items);
+      scanned.CountDatabase(db, &pool);
+      PairCountMatrix filled(items);
+      filled.CountIndex(index, &pool);
+      PairCountMatrix copied(items);
+      ASSERT_TRUE(table.Fill(copied)) << threads << " threads";
+      EXPECT_EQ(copied.raw_counts(), scanned.raw_counts())
+          << threads << " threads, F = " << items.size();
+      EXPECT_EQ(copied.raw_counts(), filled.raw_counts())
+          << threads << " threads, F = " << items.size();
+    }
+    // The table's own items.
+    PairCountMatrix whole(covered);
+    ASSERT_TRUE(table.Fill(whole));
+    EXPECT_EQ(whole.raw_counts(), offered.raw_counts());
+
+    const uint64_t fills = table.fills();
+    PairCountMatrix uncovered({0, 3, 5});
+    EXPECT_FALSE(table.Fill(uncovered)) << threads << " threads";
+    EXPECT_EQ(uncovered.raw_counts(), std::vector<uint32_t>(3, 0));
+    EXPECT_EQ(table.fills(), fills);
+  }
+}
+
+TEST(PairTable, KeepsAnOfferOnlyWhenItHoldsMoreItems) {
+  const TransactionDatabase db =
+      MakeDatabase({{0, 1, 2, 3}, {0, 1}, {1, 3}, {2, 3}});
+  PairTable table;
+  EXPECT_EQ(table.num_items(), 0u);
+  PairCountMatrix before({0, 1});
+  EXPECT_FALSE(table.Fill(before));
+
+  PairCountMatrix three({0, 1, 2});
+  three.CountDatabase(db);
+  table.Offer(three);
+  EXPECT_EQ(table.num_items(), 3u);
+  // Fewer items, or as many: the table keeps what it has.
+  PairCountMatrix two({1, 3});
+  two.CountDatabase(db);
+  table.Offer(two);
+  PairCountMatrix other_three({1, 2, 3});
+  other_three.CountDatabase(db);
+  table.Offer(other_three);
+  EXPECT_EQ(table.num_items(), 3u);
+  PairCountMatrix needs_three({1, 3});
+  EXPECT_FALSE(table.Fill(needs_three));
+
+  PairCountMatrix four({0, 1, 2, 3});
+  four.CountDatabase(db);
+  table.Offer(four);
+  EXPECT_EQ(table.num_items(), 4u);
+  ASSERT_TRUE(table.Fill(needs_three));
+  EXPECT_EQ(needs_three.PairCount(1, 3), 2u);
+  EXPECT_EQ(table.fills(), 1u);
 }
 
 // The pass-2 shapes of the queries perfbench's serve workload mines (its

@@ -92,6 +92,8 @@ TEST(DifferentialStress, QuestSweepAgreesWithOracleEverywhere) {
   // the rows under the others.
   EXPECT_GT(report.index_item_counts, 0u) << report.Summary();
   EXPECT_GT(report.array_item_counts, 0u) << report.Summary();
+  // Wherever pass 2 scans, the reruns copy it from a pair table.
+  EXPECT_GT(report.pair_table_fills, 0u) << report.Summary();
 }
 
 TEST(DifferentialStress, AdversarialDatabases) {
@@ -115,6 +117,7 @@ TEST(DifferentialStress, AdversarialDatabases) {
       "adversarial-planted", configs, report);
 
   EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GT(report.pair_table_fills, 0u) << report.Summary();
 }
 
 TEST(DifferentialStress, LabelsAreDistinct) {

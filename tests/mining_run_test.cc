@@ -70,18 +70,28 @@ TEST(MiningRun, NestedOptionsShareThePoolAndNothingBoundToThisRun) {
   const TransactionDatabase db = MakeDatabase({{0, 1}, {1}});
   std::unique_ptr<SupportCounter> resident =
       CreateCounter(CounterBackend::kTrie, db);
+  PairTable pairs;
   MiningOptions options;
   options.num_threads = 2;
   options.time_budget_ms = 60000;
   options.resident_counter = resident.get();
+  options.resident_pairs = &pairs;
   options.checkpoint_sink = [](const Checkpoint&) { return Status::OK(); };
   MiningRun run(db, options);
   const MiningOptions nested = run.NestedOptions();
   EXPECT_EQ(nested.shared_pool, run.pool());
   EXPECT_EQ(nested.resident_counter, nullptr);
+  EXPECT_EQ(nested.resident_pairs, nullptr);
   EXPECT_FALSE(nested.checkpoint_sink);
   EXPECT_GT(nested.time_budget_ms, 0);
   EXPECT_LE(nested.time_budget_ms, 60000);
+  // Like the resident counter, the table cannot change an answer, so a
+  // checkpoint or cache key never sees it.
+  MiningOptions plain = options;
+  plain.resident_counter = nullptr;
+  plain.resident_pairs = nullptr;
+  EXPECT_EQ(OptionsFingerprint(options, "pincer", 0),
+            OptionsFingerprint(plain, "pincer", 0));
 }
 
 TEST(MiningRun, SpentBudgetIsNeverPassedOnAsUnlimited) {
@@ -168,6 +178,111 @@ TEST(MiningRun, PassOneReadsTheIndexWhereTheCounterHasOne) {
     EXPECT_EQ(pass.backend_used, holds_index ? "vertical" : "array")
         << context;
   }
+}
+
+TEST(MiningRun, TheFirstCountOfAPassNamesItsEngine) {
+  // Passes 1 and 2 by the arrays, each followed by an MFCS element counted
+  // through the trie, as a Pincer pass does: the passes keep "array". A
+  // pass whose first count goes through the counter names the counter.
+  const TransactionDatabase db = MakeDatabase({{0, 1, 2}, {0, 1}, {1, 2}});
+  MiningOptions options;
+  options.backend = CounterBackend::kTrie;
+  MiningRun run(db, options);
+  const std::vector<Itemset> mfcs = {Itemset{0, 1, 2}};
+
+  PassStats one;
+  one.pass = 1;
+  ASSERT_TRUE(run.CountItems(one, /*array_fast_path=*/true).has_value());
+  ASSERT_TRUE(run.Count(mfcs, one).has_value());
+  EXPECT_EQ(one.backend_used, "array");
+
+  PassStats two;
+  two.pass = 2;
+  PairCountMatrix matrix({0, 1, 2});
+  ASSERT_TRUE(run.CountPairs(matrix, {2, 3, 2}, two));
+  ASSERT_TRUE(run.Count(mfcs, two).has_value());
+  EXPECT_EQ(two.backend_used, "array");
+
+  PassStats three;
+  three.pass = 3;
+  ASSERT_TRUE(run.Count(mfcs, three).has_value());
+  EXPECT_EQ(three.backend_used, "trie");
+}
+
+TEST(MiningRun, CountPairsCopiesACoveringTableAndOffersWhatItScans) {
+  // Eight items in half the rows: the trie leaves pass 2 to the array
+  // scan, the vertical counter fills it from its index.
+  RandomDbParams params;
+  params.num_items = 8;
+  params.num_transactions = 300;
+  params.item_probability = 0.5;
+  params.seed = 5;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  const std::vector<uint64_t> supports = CountSingletons(db);
+  const std::vector<ItemId> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_TRUE(PairFillPrefersIndex(db.size(), supports));
+
+  PairTable table;
+  MiningOptions options;
+  options.backend = CounterBackend::kTrie;
+  options.resident_pairs = &table;
+  {
+    MiningRun run(db, options);
+    PassStats pass;
+    pass.pass = 2;
+    PairCountMatrix matrix(all);
+    ASSERT_TRUE(run.CountPairs(matrix, supports, pass));
+    EXPECT_EQ(pass.backend_used, "array");
+    EXPECT_EQ(table.num_items(), all.size());
+    EXPECT_EQ(table.fills(), 0u);
+  }
+  {
+    MiningRun run(db, options);
+    PassStats pass;
+    pass.pass = 2;
+    PairCountMatrix matrix({1, 4, 6});
+    ASSERT_TRUE(run.CountPairs(matrix, {supports[1], supports[4], supports[6]},
+                               pass));
+    EXPECT_EQ(pass.backend_used, "array");
+    EXPECT_EQ(table.fills(), 1u);
+    PairCountMatrix scanned({1, 4, 6});
+    scanned.CountDatabase(db);
+    EXPECT_EQ(matrix.raw_counts(), scanned.raw_counts());
+  }
+  // Where the index fill is picked, the table is neither read nor offered.
+  options.backend = CounterBackend::kVertical;
+  PairTable untouched;
+  options.resident_pairs = &untouched;
+  {
+    MiningRun run(db, options);
+    PassStats pass;
+    pass.pass = 2;
+    PairCountMatrix matrix(all);
+    ASSERT_TRUE(run.CountPairs(matrix, supports, pass));
+    EXPECT_EQ(pass.backend_used, "vertical");
+    EXPECT_EQ(untouched.num_items(), 0u);
+  }
+}
+
+TEST(MiningRun, ScanStoppedByTheBudgetOffersNothing) {
+  RandomDbParams params;
+  params.num_items = 8;
+  params.num_transactions = 2 * kScanAbortCheckRows + 1;
+  params.item_probability = 0.5;
+  params.seed = 6;
+  const TransactionDatabase db = MakeRandomDatabase(params);
+  PairTable table;
+  MiningOptions options;
+  options.backend = CounterBackend::kTrie;
+  options.resident_pairs = &table;
+  options.time_budget_ms = 1e-6;
+  MiningRun run(db, options);
+  PassStats pass;
+  pass.pass = 2;
+  PairCountMatrix matrix({0, 1, 2, 3, 4, 5, 6, 7});
+  EXPECT_FALSE(run.CountPairs(matrix, CountSingletons(db), pass));
+  EXPECT_TRUE(run.aborted());
+  EXPECT_EQ(table.num_items(), 0u);
 }
 
 TEST(MiningRun, ResidentCounterLosesTheRunSinksWhenTheRunEnds) {

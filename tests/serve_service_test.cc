@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "counting/array_counters.h"
 #include "data/database_io.h"
+#include "gen/quest_gen.h"
 #include "mining/miner.h"
 #include "serve/server.h"
 #include "testing/db_builder.h"
@@ -67,6 +69,15 @@ uint64_t QueryCountCalls(const JsonValue& response) {
   const JsonValue* calls = counting->Find("count_calls");
   if (calls == nullptr) return ~0ull;
   return calls->AsUint64().value_or(~0ull);
+}
+
+bool ResidentPairsOf(const JsonValue& response) {
+  const JsonValue* query = response.Find("query");
+  EXPECT_NE(query, nullptr);
+  if (query == nullptr) return false;
+  const JsonValue* used = query->Find("resident_pairs");
+  EXPECT_NE(used, nullptr);
+  return used != nullptr && used->AsBool().value_or(false);
 }
 
 bool StatsBool(const JsonValue& response, std::string_view key) {
@@ -338,6 +349,9 @@ TEST_F(ServeServiceTest, ListReportsResidentDatabasesAndCacheShape) {
   EXPECT_EQ(*databases->array[0].Find("name")->AsString(), "quest");
   EXPECT_EQ(databases->array[0].Find("num_transactions")->AsUint64(),
             db_.size());
+  // No mine has offered the database's pair table a matrix yet.
+  ASSERT_NE(databases->array[0].Find("pair_items"), nullptr);
+  EXPECT_EQ(databases->array[0].Find("pair_items")->AsUint64(), 0u);
   EXPECT_EQ(response.Find("cache")->Find("capacity")->AsUint64(), 8u);
 }
 
@@ -431,6 +445,136 @@ TEST_F(ServeServiceTest, ConcurrentFiltersReadOneSharedSupportTable) {
     EXPECT_EQ(CacheOf(*parsed), "filter") << "threshold " << thresholds[t];
     EXPECT_EQ(MfsOf(*parsed), ColdMine(thresholds[t], Algorithm::kApriori).mfs)
         << "threshold " << thresholds[t];
+  }
+}
+
+// A scattered Quest file: hundreds of frequent items at 1-3%, each in few
+// rows, so pass 2 counts by the array scan, never from the index, and the
+// database's pair table serves it. More than kScanAbortCheckRows rows, so
+// a budget can stop that scan midway.
+class ServePairTableTest : public ServeServiceTest {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/pincer_serve_pairs_" +
+            std::to_string(::getpid()) + ".basket";
+    QuestParams params;
+    params.num_transactions = 5000;
+    params.avg_transaction_size = 8;
+    params.num_items = 300;
+    params.num_patterns = 500;
+    params.seed = 11;
+    const StatusOr<TransactionDatabase> generated =
+        GenerateQuestDatabase(params);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    ASSERT_TRUE(WriteDatabaseToFile(*generated, path_).ok());
+    StatusOr<TransactionDatabase> loaded = ReadDatabaseFromFile(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    db_ = std::move(*loaded);
+  }
+
+  // A fresh daemon over the file: its pair table is empty.
+  bool Boot() {
+    ServerOptions options;
+    options.databases = {{"scattered", path_}};
+    return InitService(options);
+  }
+
+  uint64_t PairItems() {
+    const JsonValue list = Handle(R"({"op":"list"})");
+    const JsonValue* databases = list.Find("databases");
+    if (databases == nullptr || databases->array.size() != 1) return ~0ull;
+    const JsonValue* items = databases->array[0].Find("pair_items");
+    return items == nullptr ? ~0ull : items->AsUint64().value_or(~0ull);
+  }
+
+  // Items frequent at `min_support`: the items of its pass-2 matrix.
+  uint64_t FrequentItems(double min_support) const {
+    const uint64_t min_count = db_.MinSupportCount(min_support);
+    uint64_t items = 0;
+    for (const uint64_t count : CountSingletons(db_)) {
+      items += count >= min_count;
+    }
+    return items;
+  }
+
+  static constexpr Algorithm kAlgorithms[] = {
+      Algorithm::kApriori, Algorithm::kAprioriCombined, Algorithm::kPincer,
+      Algorithm::kPincerAdaptive};
+};
+
+TEST_F(ServePairTableTest, MinesAtOrAboveTheLowestThresholdCopyPassTwo) {
+  // Each mine's answer and per-pass figures are a cold run's; from the
+  // first mine at 1% on, pass 2 of every mine at or above 1% is copied.
+  struct Step {
+    double min_support;
+    bool resident_pairs;
+    double table_support;
+  };
+  const Step steps[] = {
+      {0.03, false, 0.03}, {0.01, false, 0.01}, {0.02, true, 0.01},
+      {0.03, true, 0.01}};
+  for (const Algorithm algorithm : kAlgorithms) {
+    const std::string name(AlgorithmName(algorithm));
+    ASSERT_TRUE(Boot());
+    EXPECT_EQ(PairItems(), 0u) << name;
+    for (const Step& step : steps) {
+      const std::string context =
+          name + " at " + std::to_string(step.min_support);
+      const JsonValue response = Handle(
+          MineLine("scattered", step.min_support, name, R"(,"no_cache":true)"));
+      ASSERT_TRUE(OkOf(response)) << context;
+      EXPECT_EQ(CacheOf(response), "miss") << context;
+      EXPECT_EQ(ResidentPairsOf(response), step.resident_pairs) << context;
+      EXPECT_EQ(PairItems(), FrequentItems(step.table_support)) << context;
+
+      MiningOptions options;
+      options.min_support = step.min_support;
+      options.backend = CounterBackend::kAuto;
+      const MaximalSetResult cold = MineMaximal(db_, options, algorithm);
+      EXPECT_EQ(MfsOf(response), cold.mfs) << context;
+      const JsonValue* per_pass = response.Find("stats")->Find("per_pass");
+      ASSERT_NE(per_pass, nullptr) << context;
+      ASSERT_EQ(per_pass->array.size(), cold.stats.per_pass.size()) << context;
+      ASSERT_GE(cold.stats.per_pass.size(), 2u) << context;
+      for (size_t i = 0; i < per_pass->array.size(); ++i) {
+        const JsonValue& served = per_pass->array[i];
+        const PassStats& want = cold.stats.per_pass[i];
+        EXPECT_EQ(served.Find("candidates")->AsUint64(), want.num_candidates)
+            << context << " pass " << want.pass;
+        EXPECT_EQ(served.Find("frequent")->AsUint64(), want.num_frequent)
+            << context << " pass " << want.pass;
+        EXPECT_EQ(*served.Find("backend_used")->AsString(), want.backend_used)
+            << context << " pass " << want.pass;
+      }
+      EXPECT_EQ(cold.stats.per_pass[1].backend_used, "array") << context;
+    }
+  }
+}
+
+TEST_F(ServePairTableTest, PassTwoStoppedByTheBudgetLeavesTheTable) {
+  for (const Algorithm algorithm : kAlgorithms) {
+    const std::string name(AlgorithmName(algorithm));
+    ASSERT_TRUE(Boot());
+    ASSERT_TRUE(OkOf(Handle(
+        MineLine("scattered", 0.03, name, R"(,"no_cache":true)"))));
+    ASSERT_EQ(PairItems(), FrequentItems(0.03)) << name;
+
+    // Pass 1 reads the index whole; pass 2's scan polls the budget after
+    // its first kScanAbortCheckRows rows and stops there.
+    const JsonValue stopped = Handle(MineLine(
+        "scattered", 0.01, name, R"(,"no_cache":true,"budget_ms":0.000001)"));
+    ASSERT_TRUE(OkOf(stopped)) << name;
+    EXPECT_TRUE(StatsBool(stopped, "budget_exceeded")) << name;
+    EXPECT_EQ(stopped.Find("stats")->Find("passes")->AsUint64(), 1u) << name;
+    EXPECT_FALSE(ResidentPairsOf(stopped)) << name;
+    EXPECT_EQ(PairItems(), FrequentItems(0.03)) << name;
+
+    // The same mine with time to finish grows the table.
+    const JsonValue finished =
+        Handle(MineLine("scattered", 0.01, name, R"(,"no_cache":true)"));
+    ASSERT_TRUE(OkOf(finished)) << name;
+    EXPECT_FALSE(StatsBool(finished, "aborted")) << name;
+    EXPECT_EQ(PairItems(), FrequentItems(0.01)) << name;
   }
 }
 

@@ -120,8 +120,9 @@ void CapSensitivity(const TransactionDatabase& db, double min_support) {
     options.collect_counter_metrics = bench::JsonOutputEnabled();
     const MaximalSetResult result = PincerSearch(db, options);
     const std::string cap_label =
-        cap == 0 ? "unlimited"
-                 : "cap=" + std::to_string(static_cast<unsigned long long>(cap));
+        cap == 0
+            ? "unlimited"
+            : "cap=" + std::to_string(static_cast<unsigned long long>(cap));
     RecordAblationRow("Ablation 2: MFCS cardinality cap sweep",
                       cap == 0 ? "pincer" : "pincer-adaptive",
                       std::string(CounterBackendName(options.backend)),

@@ -8,7 +8,7 @@
 //     --op=mine|ping|list|shutdown   (default mine)
 //     --database=NAME --min-support=F
 //     --algorithm=apriori|apriori-combined|pincer|pincer-adaptive
-//     --no-fast-path --max-passes=N
+//     --max-passes=N
 //     --mfcs-cardinality-limit=N --mfcs-work-limit=N
 //     --budget-ms=MS --no-cache --id=TOKEN
 //     --format=json|text             (default json: the raw response line)
@@ -41,7 +41,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " (--socket=PATH | --port=N) [--op=mine|ping|list|shutdown] "
                "[--database=NAME] [--min-support=F] [--algorithm=NAME] "
-               "[--no-fast-path] [--max-passes=N] "
+               "[--max-passes=N] "
                "[--mfcs-cardinality-limit=N] [--mfcs-work-limit=N] "
                "[--budget-ms=MS] [--no-cache] [--id=TOKEN] "
                "[--format=json|text] [--connect-timeout-ms=MS]\n";
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   std::string database;
   std::optional<double> min_support;
   std::string algorithm;
-  bool fast_path = true;
   std::optional<size_t> max_passes;
   std::optional<size_t> mfcs_cardinality_limit;
   std::optional<size_t> mfcs_work_limit;
@@ -105,8 +104,6 @@ int main(int argc, char** argv) {
       min_support = *parsed;
     } else if (arg.rfind("--algorithm=", 0) == 0) {
       algorithm = arg.substr(12);
-    } else if (arg == "--no-fast-path") {
-      fast_path = false;
     } else if (arg.rfind("--max-passes=", 0) == 0) {
       if (!parse_size(arg, 13, "--max-passes", max_passes)) return 2;
     } else if (arg.rfind("--mfcs-cardinality-limit=", 0) == 0) {
@@ -162,7 +159,6 @@ int main(int argc, char** argv) {
     if (!database.empty()) json.KeyValue("database", database);
     if (min_support.has_value()) json.KeyValue("min_support", *min_support);
     if (!algorithm.empty()) json.KeyValue("algorithm", algorithm);
-    if (!fast_path) json.KeyValue("use_array_fast_path", false);
     if (max_passes.has_value()) {
       json.KeyValue("max_passes", static_cast<uint64_t>(*max_passes));
     }

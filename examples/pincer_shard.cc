@@ -29,10 +29,11 @@
 //                                "orchestrator" section; EXPERIMENTS.md)
 //     --worker-binary=PATH       worker executable (default: this binary)
 //
-//   Failure injection (recovery tests; both hit FIRST attempts only):
-//     --worker-failpoints=SPEC   PINCER_FAILPOINTS for first attempts
-//     --die-after-checkpoints=N  workers SIGKILL themselves after their Nth
-//                                checkpoint write
+//   Failure injection (recovery tests; hits FIRST attempts only):
+//     --worker-failpoints=SPEC   PINCER_FAILPOINTS for first attempts, e.g.
+//                                checkpoint.write=once@2:kill: each worker
+//                                SIGKILLs itself at its second checkpoint
+//                                write, with the first one on disk
 //
 //   Worker mode (what the supervisor execs; not for direct use):
 //     ./pincer_shard --worker <shard.basket> --out=FILE [worker flags]
@@ -66,7 +67,8 @@ int Usage(const char* argv0) {
                "[--attempt-deadline-ms=F] [--term-grace-ms=F] "
                "[--backoff-ms=F] [--max-backoff-ms=F] [--budget-ms=F] "
                "[--stats-json=FILE] [--worker-binary=PATH]\n"
-            << "   or: " << argv0 << " --worker <shard.basket> --out=FILE ...\n";
+            << "   or: " << argv0
+            << " --worker <shard.basket> --out=FILE ...\n";
   return 2;
 }
 
@@ -227,13 +229,6 @@ int main(int argc, char** argv) {
       options.worker_binary = arg.substr(16);
     } else if (arg.rfind("--worker-failpoints=", 0) == 0) {
       worker_failpoints = arg.substr(20);
-    } else if (arg.rfind("--die-after-checkpoints=", 0) == 0) {
-      const StatusOr<size_t> parsed = size_flag("--die-after-checkpoints", 24);
-      if (!parsed.ok()) {
-        std::cerr << parsed.status() << "\n";
-        return 2;
-      }
-      options.die_after_checkpoints = *parsed;
     } else {
       return Usage(argv[0]);
     }

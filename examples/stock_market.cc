@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"algorithm", "time_ms", "passes", "candidates"});
   for (const auto& [name, result] :
-       {std::pair<std::string, const MaximalSetResult&>{"pincer-adaptive", pincer},
+       {std::pair<std::string, const MaximalSetResult&>{"pincer-adaptive",
+                                                        pincer},
         {"apriori", apriori}}) {
     table.AddRow({name,
                   TablePrinter::FormatDouble(result.stats.elapsed_millis, 1),

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test: SIGKILL mine_cli mid-run, resume from its
 # pass-level checkpoint, and demand the bit-identical MFS of an
-# uninterrupted run. Also exercises the PINCER_FAILPOINTS retry path and
-# stale-checkpoint rejection. Used by the crash-recovery CI job; runnable
-# locally:
+# uninterrupted run. The kill is a `kill` failpoint inside the third
+# checkpoint write, so it lands mid-run however fast the machine is. Also
+# exercises the PINCER_FAILPOINTS retry path and stale-checkpoint
+# rejection. Used by the crash-recovery CI job; runnable locally:
 #
 #   ./scripts/crash_recovery_smoke.sh [BUILD_DIR] [SCALE]
 #
@@ -35,29 +36,23 @@ echo "== generating T10.I4.D$SCALE"
 echo "== reference run (uninterrupted)"
 "$MINE_CLI" "$DB" "${ARGS[@]}" > "$WORK_DIR/reference.mfs" 2> /dev/null
 
-echo "== checkpointed run, SIGKILLed mid-pass"
+echo "== checkpointed run, SIGKILLed at its third checkpoint write"
 rm -f "$CKPT"
-"$MINE_CLI" "$DB" "${ARGS[@]}" --checkpoint="$CKPT" \
-  > "$WORK_DIR/killed.mfs" 2> /dev/null &
-MINER_PID=$!
-# Wait for the first checkpoint to land, give the run a moment to get into
-# a later pass, then kill it without ceremony.
-for _ in $(seq 1 600); do
-  [[ -s "$CKPT" ]] && break
-  sleep 0.05
-done
-if [[ ! -s "$CKPT" ]]; then
-  echo "FAIL: no checkpoint appeared within 30s" >&2
-  kill -9 "$MINER_PID" 2> /dev/null || true
+# The run dies inside the write that would follow pass 3, with pass 2's
+# checkpoint (next_pass 3) on disk: no cleanup, no MFS printed.
+STATUS=0
+PINCER_FAILPOINTS='checkpoint.write=once@3:kill' \
+  "$MINE_CLI" "$DB" "${ARGS[@]}" --checkpoint="$CKPT" \
+  > "$WORK_DIR/killed.mfs" 2> /dev/null || STATUS=$?
+if [[ "$STATUS" != 137 ]]; then
+  echo "FAIL: the checkpointed run exited $STATUS, not 137 (SIGKILL)" >&2
   exit 1
 fi
-sleep 0.3
-if kill -9 "$MINER_PID" 2> /dev/null; then
-  echo "   killed pid $MINER_PID"
-else
-  echo "   miner finished before the kill landed (tiny scale?); continuing"
+if ! grep -q '"next_pass": 3,' "$CKPT" 2> /dev/null; then
+  echo "FAIL: the killed run left no pass-2 checkpoint on disk" >&2
+  exit 1
 fi
-wait "$MINER_PID" 2> /dev/null || true
+echo "   killed mid-run (exit 137) with pass 2's checkpoint on disk"
 
 echo "== resuming from the checkpoint"
 "$MINE_CLI" "$DB" "${ARGS[@]}" --checkpoint="$CKPT" --resume \

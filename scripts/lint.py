@@ -60,6 +60,13 @@ Enforces project rules that clang-tidy cannot express (CI job
                    the repo top (e.g. "core/mfcs.h"), which keeps the
                    facade layering visible and greppable.
   todo-owner       TODO comments must name an owner: `TODO(name): ...`.
+  line-length      no line of a C++ source is longer than .clang-format's
+                   ColumnLimit, counted in code points (a `§` is one
+                   column, as clang-format counts it, not two bytes).
+                   scripts/check_format.sh checks the whole format where
+                   clang-format is installed; this rule holds the limit
+                   where it is not. A line that cannot be broken carries a
+                   `// lint: allow-long-line(<reason>)` suppression.
 
 Usage:
   scripts/lint.py              lint all tracked sources; exit 1 on findings
@@ -81,6 +88,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CPP_SUFFIXES = {".cc", ".h"}
 
 ALLOW_NEW = re.compile(r"//\s*lint:\s*allow-new\b")
+ALLOW_LONG_LINE = re.compile(r"//\s*lint:\s*allow-long-line\b")
 ALLOW_RAW_MUTEX = re.compile(r"//\s*lint:\s*allow-raw-mutex\b")
 RAW_MUTEX = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -111,6 +119,19 @@ POPCOUNT_FILES = {"src/itemset/dynamic_bitset.cc"}
 POPCOUNT = re.compile(r"\bstd::popcount\b|\b__builtin_popcount\w*")
 RELATIVE_INCLUDE = re.compile(r'#\s*include\s+"\.\./')
 TODO_WITHOUT_OWNER = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.\- ]+\))")
+
+
+def column_limit() -> int:
+    """The ColumnLimit of the repo's .clang-format (80 if it names none)."""
+    try:
+        text = (REPO_ROOT / ".clang-format").read_text(encoding="utf-8")
+    except OSError:
+        return 80
+    match = re.search(r"^ColumnLimit:\s*(\d+)", text, re.MULTILINE)
+    return int(match.group(1)) if match else 80
+
+
+COLUMN_LIMIT = column_limit()
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -342,6 +363,22 @@ def lint_file(path: Path, relpath: str, text: str) -> list[Finding]:
                 )
             )
 
+        # len() of a str counts code points, the columns clang-format counts.
+        long_line_suppressed = ALLOW_LONG_LINE.search(raw) or (
+            ALLOW_LONG_LINE.search(prev)
+        )
+        if is_cpp and len(raw) > COLUMN_LIMIT and not long_line_suppressed:
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "line-length",
+                    f"{len(raw)} columns, over .clang-format's ColumnLimit "
+                    f"of {COLUMN_LIMIT} — wrap it, or suppress with "
+                    "// lint: allow-long-line(<reason>)",
+                )
+            )
+
         if is_cpp and RELATIVE_INCLUDE.search(raw):
             findings.append(
                 Finding(
@@ -570,6 +607,17 @@ SELF_TEST_CASES = {
     "relative-include": ("src/core/x.cc", '#include "../util/y.h"\n'),
     "todo-owner": ("src/core/x.cc", "// TODO: fix this\n"),
     "todo-owner-named-ok": ("src/core/x.cc", "// TODO(pincer): fix this\n"),
+    "line-length": ("tests/x.cc", "int x = " + "1 + " * 20 + "1;\n"),
+    "line-length-code-points-ok": (
+        "src/core/x.cc",
+        "// " + "\u00a7" * (COLUMN_LIMIT - 3) + "\n",
+    ),
+    "line-length-suppressed-ok": (
+        "src/core/x.cc",
+        "// lint: allow-long-line(an unbreakable URL)\n"
+        "// https://example.org/" + "x" * COLUMN_LIMIT + "\n",
+    ),
+    "line-length-python-ok": ("scripts/x.py", "x = " + "1 + " * 30 + "1\n"),
     "include-guard": (
         "src/core/x.h",
         "#ifndef WRONG_GUARD_H_\n#define WRONG_GUARD_H_\n#endif\n",

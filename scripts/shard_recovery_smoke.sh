@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Shard-recovery smoke test: run the sharded orchestrator under three
-# failure schedules — every worker SIGKILLing itself mid-run, a random
-# worker SIGKILLed from outside, and the whole orchestrator SIGKILLed then
-# restarted with --resume — and demand the bit-identical MFS of a
+# failure schedules — every worker SIGKILLing itself mid-run (a `kill`
+# failpoint at its second checkpoint write), a random worker SIGKILLed from
+# outside, and the whole orchestrator SIGKILLed then restarted with
+# --resume — and demand the bit-identical MFS of a
 # single-process mine_cli run every time, with the retry/recovery counters
 # visible in the stats JSON. Used by the shard-recovery CI job; runnable
 # locally:
@@ -39,7 +40,7 @@ echo "== single-process reference"
 
 echo "== every worker SIGKILLs itself once, recovers from its checkpoint"
 "$SHARD" "$DB" "${ARGS[@]}" --work-dir="$WORK_DIR/wd_die" --shards=4 \
-  --workers=2 --die-after-checkpoints=1 \
+  --workers=2 --worker-failpoints='checkpoint.write=once@2:kill' \
   --stats-json="$WORK_DIR/die.json" \
   > "$WORK_DIR/die.mfs" 2> /dev/null
 diff -q "$WORK_DIR/reference.mfs" "$WORK_DIR/die.mfs" > /dev/null || {

@@ -74,8 +74,8 @@ Mfcs::Mfcs(size_t num_items) : universe_(num_items) {
 Mfcs::Mfcs(const std::vector<Itemset>& elements) : universe_(0) {
   for (const Itemset& element : elements) {
     if (!element.empty()) {
-      universe_ = std::max(universe_,
-                           static_cast<size_t>(element[element.size() - 1]) + 1);
+      universe_ = std::max(
+          universe_, static_cast<size_t>(element[element.size() - 1]) + 1);
     }
   }
   for (const Itemset& element : elements) {

@@ -47,13 +47,13 @@ class PincerDriver {
   Status Restore(const Checkpoint& checkpoint);
 
  private:
-  // Pass 1: counts all 1-itemsets (array fast path or generic backend) plus
-  // the initial MFCS element. Produces L_1.
+  // Pass 1: counts all 1-itemsets (the §4.1.1 item array) plus the initial
+  // MFCS element. Produces L_1.
   std::vector<Itemset> PassOne();
 
-  // Pass 2: counts all pairs of frequent items not covered by the MFS (2-D
-  // triangular array fast path or generic backend) plus unclassified MFCS
-  // elements. Produces L_2.
+  // Pass 2: counts all pairs of frequent items not covered by the MFS (the
+  // §4.1.1 triangular pair array) plus unclassified MFCS elements. Produces
+  // L_2.
   std::vector<Itemset> PassTwo(const std::vector<ItemId>& frequent_items);
 
   // Pass k >= 3 over an explicit candidate list. Produces L_k. `gen_ms` is
@@ -313,8 +313,7 @@ std::vector<Itemset> PincerDriver::PassOne() {
   PassStats pass;
   pass.pass = 1;
   pass.num_candidates = db_.num_items();
-  std::optional<std::vector<uint64_t>> counts =
-      run_.CountItems(pass, options_.use_array_fast_path);
+  std::optional<std::vector<uint64_t>> counts = run_.CountItems(pass);
   if (!counts.has_value()) return {};
 
   std::vector<Itemset> infrequent;
@@ -381,19 +380,15 @@ std::vector<Itemset> PincerDriver::PassTwo(
   // with unusual inputs.
   std::vector<Itemset> infrequent;
   std::vector<Itemset> l2;
-  auto classify_pair = [&](const ItemId a, const ItemId b, uint64_t count,
-                           bool cache_count) {
+  auto classify_pair = [&](const ItemId a, const ItemId b, uint64_t count) {
     const bool frequent = IsFrequentCount(count);
     // Once maintenance is off, an infrequent pair feeds neither L_2 nor the
-    // MFCS update; unless its count goes to the support map, build no
-    // itemset for it.
-    if (!frequent && !maintain_mfcs_ && !cache_count) return;
+    // MFCS update: build no itemset for it.
+    if (!frequent && !maintain_mfcs_) return;
     const Itemset pair{a, b};
     // After an adaptive switch-off the loop is plain Apriori: covered pairs
     // are ordinary frequent itemsets again.
-    const bool covered = maintain_mfcs_ && mfs_.CoveredBy(pair);
-    if (cache_count) supports_.Record(pair, count);
-    if (covered) return;
+    if (maintain_mfcs_ && mfs_.CoveredBy(pair)) return;
     if (frequent) {
       bottom_up_frequent_.push_back({pair, count});
       l2.push_back(pair);
@@ -405,21 +400,7 @@ std::vector<Itemset> PincerDriver::PassTwo(
     }
   };
 
-  // Apply the §3.5 batch pre-check to the raw counts of every pair, so a
-  // huge infrequent batch disables MFCS maintenance *before* classify_pair
-  // materializes one Itemset per infrequent pair.
-  auto precheck_batch = [&](const auto& pair_counts) {
-    const size_t num_frequent_pairs = static_cast<size_t>(std::count_if(
-        pair_counts.begin(), pair_counts.end(),
-        [this](uint64_t count) { return IsFrequentCount(count); }));
-    if (maintain_mfcs_ &&
-        ShouldDisableForBatch(pair_counts.size() - num_frequent_pairs,
-                              num_frequent_pairs)) {
-      DisableMfcs(2);
-    }
-  };
-
-  if (options_.use_array_fast_path && frequent_items.size() >= 2) {
+  if (frequent_items.size() >= 2) {
     std::vector<uint64_t> item_supports;
     item_supports.reserve(frequent_items.size());
     for (ItemId item : frequent_items) {
@@ -428,32 +409,26 @@ std::vector<Itemset> PincerDriver::PassTwo(
     PairCountMatrix matrix(frequent_items);
     if (!run_.CountPairs(matrix, item_supports, pass)) return {};
     const std::vector<uint32_t>& pair_counts = matrix.raw_counts();
-    precheck_batch(pair_counts);
+    // Apply the §3.5 batch pre-check to the raw counts of every pair, so a
+    // huge infrequent batch disables MFCS maintenance *before*
+    // classify_pair materializes one Itemset per infrequent pair.
+    const size_t num_frequent_pairs = static_cast<size_t>(std::count_if(
+        pair_counts.begin(), pair_counts.end(),
+        [this](uint64_t count) { return IsFrequentCount(count); }));
+    if (maintain_mfcs_ &&
+        ShouldDisableForBatch(pair_counts.size() - num_frequent_pairs,
+                              num_frequent_pairs)) {
+      DisableMfcs(2);
+    }
     // raw_counts() is row-major by rank, so cell follows (i, j) in order.
     size_t cell = 0;
     for (size_t i = 0; i < frequent_items.size(); ++i) {
       for (size_t j = i + 1; j < frequent_items.size(); ++j, ++cell) {
         // Counts of size-2 itemsets stay in the matrix; no map entry.
-        classify_pair(frequent_items[i], frequent_items[j], pair_counts[cell],
-                      /*cache_count=*/false);
+        classify_pair(frequent_items[i], frequent_items[j], pair_counts[cell]);
       }
     }
     supports_.SetPairCounts(std::move(matrix));
-  } else if (frequent_items.size() >= 2) {
-    std::vector<Itemset> pairs;
-    for (size_t i = 0; i < frequent_items.size(); ++i) {
-      for (size_t j = i + 1; j < frequent_items.size(); ++j) {
-        pairs.push_back(Itemset{frequent_items[i], frequent_items[j]});
-      }
-    }
-    const std::optional<std::vector<uint64_t>> counts =
-        run_.Count(pairs, pass);
-    if (!counts.has_value()) return {};
-    precheck_batch(*counts);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      classify_pair(pairs[i][0], pairs[i][1], (*counts)[i],
-                    /*cache_count=*/true);
-    }
   }
   const size_t num_pairs =
       frequent_items.size() < 2

@@ -203,7 +203,8 @@ Status PairCountMatrix::RestoreCounts(const std::vector<uint64_t>& counts) {
   return Status::OK();
 }
 
-std::optional<uint64_t> PairCountMatrix::TryPairCount(ItemId a, ItemId b) const {
+std::optional<uint64_t> PairCountMatrix::TryPairCount(ItemId a,
+                                                      ItemId b) const {
   if (a == b) return std::nullopt;
   if (a >= rank_of_.size() || b >= rank_of_.size()) return std::nullopt;
   if (rank_of_[a] == kNoRank || rank_of_[b] == kNoRank) return std::nullopt;

@@ -69,7 +69,9 @@ void HashTree::CountTransaction(const Transaction& transaction,
                                 std::vector<uint64_t>& counts,
                                 VisitState& state) const {
   if (transaction.size() < candidate_size_) return;
-  if (state.stamps.size() < num_leaf_ids_) state.stamps.resize(num_leaf_ids_, 0);
+  if (state.stamps.size() < num_leaf_ids_) {
+    state.stamps.resize(num_leaf_ids_, 0);
+  }
   ++state.current_visit;
   CountNode(root_.get(), transaction, 0, 0, counts, state);
 }

@@ -230,7 +230,8 @@ const PopcountKernel& ActivePopcountKernel() {
 }
 
 DynamicBitset::DynamicBitset(size_t num_bits)
-    : num_bits_(num_bits), words_((num_bits + kBitsPerWord - 1) / kBitsPerWord, 0) {}
+    : num_bits_(num_bits),
+      words_((num_bits + kBitsPerWord - 1) / kBitsPerWord, 0) {}
 
 void DynamicBitset::Set(size_t index) {
   assert(index < num_bits_);

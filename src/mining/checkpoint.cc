@@ -309,18 +309,13 @@ std::string Checkpoint::ToJsonString() const {
 }
 
 std::string OptionsFingerprint(const MiningOptions& options,
-                               std::string_view algorithm,
-                               size_t combine_threshold) {
+                               std::string_view algorithm) {
   std::ostringstream os;
   os << "v" << kCheckpointVersion << ";alg=" << algorithm
      << ";min_support=" << std::setprecision(17) << options.min_support
-     << ";fast_path=" << (options.use_array_fast_path ? 1 : 0)
      << ";max_passes=" << options.max_passes
      << ";mfcs_cardinality_limit=" << options.mfcs_cardinality_limit
      << ";mfcs_work_limit=" << options.mfcs_work_limit;
-  if (algorithm == "apriori-combined") {
-    os << ";combine_threshold=" << combine_threshold;
-  }
   return os.str();
 }
 
@@ -460,6 +455,31 @@ Status ValidateCheckpointForResume(const Checkpoint& checkpoint,
     return Status::InvalidArgument(
         "checkpoint was written by algorithm '" + checkpoint.algorithm +
         "', cannot resume as '" + std::string(algorithm) + "'");
+  }
+  // Every driver writes frequent and live_candidates; a section outside
+  // its own set would be silently ignored, or consumed as if it had
+  // written it, so it is refused.
+  const bool combined = algorithm == "apriori-combined";
+  const bool pincer = algorithm == "pincer";
+  const struct {
+    const char* name;
+    bool present;
+    bool written;
+  } sections[] = {
+      {"precounted", !checkpoint.precounted.empty(), combined},
+      {"mfs", !checkpoint.mfs.empty(), pincer},
+      {"mfcs", !checkpoint.mfcs.empty(), pincer},
+      {"support_cache", !checkpoint.support_cache.empty(), pincer},
+      {"singleton_counts", !checkpoint.singleton_counts.empty(), pincer},
+      {"pair_items", !checkpoint.pair_items.empty(), pincer},
+      {"pair_counts", !checkpoint.pair_counts.empty(), pincer},
+  };
+  for (const auto& section : sections) {
+    if (section.present && !section.written) {
+      return Status::InvalidArgument(
+          "checkpoint carries a '" + std::string(section.name) +
+          "' section, which '" + std::string(algorithm) + "' never writes");
+    }
   }
   if (checkpoint.options_fingerprint != options_fingerprint) {
     return Status::InvalidArgument(

@@ -52,10 +52,10 @@ struct DatabaseFingerprint {
 /// Snapshot of a mining run after `next_pass - 1` completed passes.
 /// `algorithm` is the driver id ("apriori", "apriori-combined", "pincer");
 /// the pure/adaptive pincer distinction lives in the options fingerprint.
-/// Unused sections are empty: apriori fills frequent + live_candidates,
-/// combined adds precounted, pincer fills frequent (its bottom-up log),
-/// live_candidates, mfs, mfcs, support_cache, singleton_counts and the
-/// pair_* arrays.
+/// Unused sections are empty, and a resume refuses any that is not:
+/// apriori fills frequent + live_candidates, combined adds precounted,
+/// pincer fills frequent (its bottom-up log), live_candidates, mfs, mfcs,
+/// support_cache, singleton_counts and the pair_* arrays.
 struct Checkpoint {
   uint64_t version = kCheckpointVersion;
   std::string algorithm;
@@ -82,7 +82,7 @@ struct Checkpoint {
   /// Pincer only: the sections of the run's SupportTable, which writes and
   /// reads them (mining/support_table.h): the hash tier sorted by itemset,
   /// the pass-1 item counts, and the pass-2 matrix's items and packed
-  /// counts (empty before pass 2 or off the array fast path).
+  /// counts (empty before pass 2).
   std::vector<FrequentItemset> support_cache;
   std::vector<uint64_t> singleton_counts;
   std::vector<ItemId> pair_items;
@@ -95,10 +95,8 @@ struct Checkpoint {
 /// Fingerprint over the result-affecting options for `algorithm`
 /// ("apriori", "apriori-combined", "pincer"), as resolved by the caller
 /// (MineMaximal's pure/adaptive rewrites must already be applied).
-/// `combine_threshold` participates only for "apriori-combined".
 std::string OptionsFingerprint(const MiningOptions& options,
-                               std::string_view algorithm,
-                               size_t combine_threshold = 0);
+                               std::string_view algorithm);
 
 /// Parses a checkpoint from JSON. Rejects unknown versions and structural
 /// mismatches with InvalidArgument.
@@ -130,7 +128,9 @@ class TransactionDatabase;
 /// Staleness gate shared by every resume entry point: rejects with
 /// InvalidArgument unless the checkpoint's algorithm id, options
 /// fingerprint, and database shape (rows, items) all match the resuming
-/// run, and no singleton or pair count exceeds the row count.
+/// run, no singleton or pair count exceeds the row count, and every
+/// non-empty section is one the driver writes (see Checkpoint; the error
+/// names the first that is not).
 /// Path/file_bytes are the CLI's concern (the library may mine databases
 /// that never touched a file).
 Status ValidateCheckpointForResume(const Checkpoint& checkpoint,

@@ -64,12 +64,6 @@ std::string_view CheckpointAlgorithmId(Algorithm algorithm) {
   return "unknown";
 }
 
-size_t CheckpointCombineThreshold(Algorithm algorithm) {
-  return algorithm == Algorithm::kAprioriCombined
-             ? CombinedPassOptions().combine_threshold
-             : 0;
-}
-
 namespace {
 
 // An Apriori driver's result with its frequent set as the supports. The

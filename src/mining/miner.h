@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "apriori/apriori.h"
-#include "apriori/apriori_combined.h"
 #include "core/pincer_search.h"
 #include "data/database.h"
 #include "mining/options.h"
@@ -61,12 +60,6 @@ MiningOptions EffectiveMiningOptions(MiningOptions options,
 /// Checkpoint-layer driver id: both pincer variants share "pincer" (the
 /// pure/adaptive distinction lives in the options fingerprint).
 std::string_view CheckpointAlgorithmId(Algorithm algorithm);
-
-/// The combine threshold that participates in the options fingerprint:
-/// MineMaximal mines apriori-combined with the default CombinedPassOptions;
-/// every other algorithm keeps the fingerprint's combine-threshold clause
-/// absent (0).
-size_t CheckpointCombineThreshold(Algorithm algorithm);
 
 /// Mines the maximum frequent set with the chosen algorithm. For kApriori
 /// the full frequent set is mined bottom-up and maximal elements are

@@ -10,12 +10,8 @@
 namespace pincer {
 
 MiningRun::MiningRun(const TransactionDatabase& db,
-                     const MiningOptions& options, std::string_view algorithm,
-                     size_t combine_threshold)
-    : db_(db),
-      options_(options),
-      algorithm_(algorithm),
-      combine_threshold_(combine_threshold) {
+                     const MiningOptions& options, std::string_view algorithm)
+    : db_(db), options_(options), algorithm_(algorithm) {
   // One pool per run, shared by the counter and the array fast paths and
   // reused across passes — or, in resident mode, the caller's pool and
   // pre-built counter.
@@ -97,15 +93,7 @@ std::optional<std::vector<uint64_t>> MiningRun::Count(
 }
 
 std::optional<std::vector<uint64_t>> MiningRun::CountItems(
-    PassStats& pass, bool array_fast_path) {
-  if (!array_fast_path) {
-    std::vector<Itemset> singles;
-    singles.reserve(db_.num_items());
-    for (ItemId item = 0; item < db_.num_items(); ++item) {
-      singles.push_back(Itemset{item});
-    }
-    return Count(singles, pass);
-  }
+    PassStats& pass) {
   named_pass_ = pass.pass;
   // The counter's vertical index already holds every item's support.
   const VerticalIndex* index = counter_->vertical_index();
@@ -179,7 +167,7 @@ void MiningRun::Absorb(const MiningStats& nested) {
 }
 
 std::string MiningRun::Fingerprint() const {
-  return OptionsFingerprint(options_, algorithm_, combine_threshold_);
+  return OptionsFingerprint(options_, algorithm_);
 }
 
 Checkpoint MiningRun::CheckpointHeader(size_t next_pass) const {

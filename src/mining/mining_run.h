@@ -46,12 +46,12 @@ class MiningRun {
   /// checkpoint driver id ("apriori", "apriori-combined", "pincer"); runs
   /// that never checkpoint leave it empty.
   MiningRun(const TransactionDatabase& db, const MiningOptions& options,
-            std::string_view algorithm = {}, size_t combine_threshold = 0);
+            std::string_view algorithm = {});
   // The run keeps references to both: a temporary would dangle.
   MiningRun(TransactionDatabase&&, const MiningOptions&,
-            std::string_view = {}, size_t = 0) = delete;
+            std::string_view = {}) = delete;
   MiningRun(const TransactionDatabase&, MiningOptions&&,
-            std::string_view = {}, size_t = 0) = delete;
+            std::string_view = {}) = delete;
   /// Detaches the run's sinks from a resident counter, which outlives it.
   ~MiningRun();
 
@@ -92,13 +92,11 @@ class MiningRun {
   std::optional<std::vector<uint64_t>> Count(const std::vector<Itemset>& batch,
                                              PassStats& pass);
 
-  /// Pass 1: the support of every item, through Count unless
-  /// `array_fast_path`. With the fast path, the supports are copied from
-  /// the counter's vertical index when it has one, recording
-  /// pass.backend_used "vertical", and otherwise counted by the §4.1.1
-  /// array scan, which leaves it "array". nullopt as for Count.
-  std::optional<std::vector<uint64_t>> CountItems(PassStats& pass,
-                                                  bool array_fast_path);
+  /// Pass 1: the support of every item, copied from the counter's vertical
+  /// index when it has one, recording pass.backend_used "vertical", and
+  /// otherwise counted by the §4.1.1 array scan, which leaves it "array".
+  /// nullopt as for Count.
+  std::optional<std::vector<uint64_t>> CountItems(PassStats& pass);
 
   /// Pass 2: counts every pair of `matrix`'s items, whose pass-1 supports
   /// are `supports` in the same order. The matrix is filled from the
@@ -161,7 +159,6 @@ class MiningRun {
   const TransactionDatabase& db_;
   const MiningOptions& options_;
   const std::string algorithm_;
-  const size_t combine_threshold_;
   Timer timer_;
   // Declared before the counter, which scans on it.
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -25,7 +25,9 @@ std::string MiningStats::ToString() const {
        << " (adaptive policy)\n";
   }
   if (retries > 0) os << "I/O retries: " << retries << "\n";
-  if (rows_skipped > 0) os << "malformed rows skipped: " << rows_skipped << "\n";
+  if (rows_skipped > 0) {
+    os << "malformed rows skipped: " << rows_skipped << "\n";
+  }
   if (rows_dropped_items > 0) {
     os << "out-of-universe items dropped: " << rows_dropped_items << "\n";
   }

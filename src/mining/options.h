@@ -22,22 +22,20 @@ struct MiningOptions {
   /// frequent iff its absolute count >= ceil(min_support * |D|), at least 1.
   double min_support = 0.01;
 
-  /// Counting backend for passes >= 3 (and for MFCS elements in all passes).
-  /// kAuto counts through the vertical bitmaps wherever their index fits a
-  /// fixed memory cap and through the trie otherwise, picked once per
-  /// database from its shape (counting/counter_factory.h); every pass
-  /// records the engine as PassStats::backend_used. Result-invariant: every
-  /// backend computes identical counts, so this knob (like num_threads) is
-  /// excluded from the checkpoint options fingerprint.
+  /// Counting backend for passes >= 3 and for MFCS elements in every pass.
+  /// Passes 1 and 2 always count on the §4.1.1 item and pair arrays, which
+  /// a backend holding a vertical index (kVertical, kAuto) fills from the
+  /// index where that is cheaper. kAuto counts through the vertical bitmaps
+  /// wherever their index fits a fixed memory cap and through the trie
+  /// otherwise, picked once per database from its shape
+  /// (counting/counter_factory.h); every pass records the engine as
+  /// PassStats::backend_used. Result-invariant: every backend computes
+  /// identical counts, so this knob (like num_threads) is excluded from the
+  /// checkpoint options fingerprint.
   CounterBackend backend = CounterBackend::kTrie;
 
-  /// Use the Özden et al. array fast paths for passes 1 and 2 (§4.1.1).
-  /// When false, passes 1-2 run through the generic backend too; results are
-  /// identical either way.
-  bool use_array_fast_path = true;
-
-  /// Worker threads for support counting: every database scan (the generic
-  /// backends and the pass-1/2 array fast paths) is split into per-worker
+  /// Worker threads for support counting: every database scan (the
+  /// backends and the pass-1/2 array scans) is split into per-worker
   /// transaction chunks whose partial counts are merged in worker order, so
   /// counts and the mined result are bit-identical for every value.
   /// 1 (default) = serial; 0 = hardware concurrency; N = exactly N threads.

@@ -247,8 +247,7 @@ std::string WorkerOptionsFingerprint(const OrchestratorOptions& options) {
   mining_options.num_threads = options.worker_threads;
   return OptionsFingerprint(
       EffectiveMiningOptions(mining_options, options.algorithm),
-      CheckpointAlgorithmId(options.algorithm),
-      CheckpointCombineThreshold(options.algorithm));
+      CheckpointAlgorithmId(options.algorithm));
 }
 
 /// Inserts every non-empty subset of `items` (from `start` on, under
@@ -451,12 +450,9 @@ StatusOr<OrchestratorResult> OrchestrateMining(
       config.min_support = options.min_support;
       config.algorithm = options.algorithm;
       config.num_threads = options.worker_threads;
-      // Failure injection arms only the first attempt so retries converge.
-      if (attempt == 1) {
-        config.die_after_checkpoints = options.die_after_checkpoints;
-      }
       WorkerCommand command;
       command.argv = ShardWorkerArgv(options.worker_binary, config);
+      // Failure injection arms only the first attempt so retries converge.
       if (attempt == 1) command.env = options.first_attempt_env;
       return command;
     };

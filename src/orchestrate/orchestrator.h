@@ -85,15 +85,12 @@ struct OrchestratorOptions {
   /// Exceeding it fails with FailedPrecondition, which is never retried.
   double validation_budget_ms = 0;
 
-  // Failure-injection hooks for the recovery tests. Both apply only to each
-  // worker's FIRST attempt, so retries converge instead of re-tripping the
-  // same fault forever.
-  /// Extra environment for first attempts (e.g. PINCER_FAILPOINTS=...).
+  /// Failure injection for the recovery tests: extra environment for each
+  /// worker's FIRST attempt only, so retries converge instead of
+  /// re-tripping the same fault forever. PINCER_FAILPOINTS=
+  /// "checkpoint.write=once@2:kill" makes every worker SIGKILL itself at
+  /// its second checkpoint write and recover from the first on relaunch.
   std::vector<std::pair<std::string, std::string>> first_attempt_env;
-  /// Appends --die-after-checkpoints=N to first attempts: every worker
-  /// SIGKILLs itself after its Nth checkpoint write, then recovers on
-  /// relaunch. 0 = off.
-  size_t die_after_checkpoints = 0;
   /// Called after every worker spawn (task index, attempt, pid).
   std::function<void(size_t, size_t, pid_t)> on_worker_spawn;
 };

@@ -88,7 +88,8 @@ std::string ShardResultToJson(const ShardResult& result) {
     json.EndObject();
   }
   json.EndArray();
-  json.KeyValue("checksum", ToHex64(Fnv1a64(ShardResultChecksumPayload(result))));
+  json.KeyValue("checksum",
+                ToHex64(Fnv1a64(ShardResultChecksumPayload(result))));
   json.EndObject();
   return os.str();
 }
@@ -199,8 +200,8 @@ StatusOr<ShardResult> ParseShardResult(std::string_view json) {
       ToHex64(Fnv1a64(ShardResultChecksumPayload(result)));
   if (*checksum->AsString() != expected) {
     return Malformed("checksum mismatch: file says " +
-                     std::string(*checksum->AsString()) + ", payload hashes to " +
-                     expected);
+                     std::string(*checksum->AsString()) +
+                     ", payload hashes to " + expected);
   }
   return result;
 }

@@ -1,8 +1,6 @@
 #include "orchestrate/worker.h"
 
-#include <signal.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <utility>
@@ -52,20 +50,11 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
   options.backend = CounterBackend::kAuto;
   options.num_threads = config.num_threads;
 
-  size_t checkpoints_written = 0;
   if (!config.checkpoint_path.empty()) {
     options.checkpoint_sink = [&](Checkpoint checkpoint) {
       checkpoint.database.path = fingerprint.path;
       checkpoint.database.file_bytes = fingerprint.file_bytes;
-      const Status written =
-          WriteCheckpointToFile(checkpoint, config.checkpoint_path);
-      if (written.ok() && config.die_after_checkpoints > 0 &&
-          ++checkpoints_written >= config.die_after_checkpoints) {
-        // Failure-schedule hook: die the way a crashed worker dies — no
-        // cleanup, no result file, checkpoint already durable.
-        ::kill(::getpid(), SIGKILL);
-      }
-      return written;
+      return WriteCheckpointToFile(checkpoint, config.checkpoint_path);
     };
   }
 
@@ -98,8 +87,7 @@ Status RunShardWorker(const ShardWorkerConfig& config) {
   result.shard = fingerprint;
   result.options_fingerprint = OptionsFingerprint(
       EffectiveMiningOptions(options, config.algorithm),
-      CheckpointAlgorithmId(config.algorithm),
-      CheckpointCombineThreshold(config.algorithm));
+      CheckpointAlgorithmId(config.algorithm));
   result.resumed_from_checkpoint = resumed;
   result.passes = mined.stats.passes;
   result.mine_ms = timer.ElapsedMillis();
@@ -126,10 +114,6 @@ std::vector<std::string> ShardWorkerArgv(const std::string& worker_binary,
     argv.push_back("--checkpoint=" + config.checkpoint_path);
   }
   if (config.resume) argv.push_back("--resume");
-  if (config.die_after_checkpoints > 0) {
-    argv.push_back("--die-after-checkpoints=" +
-                   std::to_string(config.die_after_checkpoints));
-  }
   return argv;
 }
 
@@ -161,11 +145,6 @@ StatusOr<ShardWorkerConfig> ParseShardWorkerArgv(
       const StatusOr<size_t> parsed = ParseSize(arg.substr(10), "--threads");
       if (!parsed.ok()) return parsed.status();
       config.num_threads = *parsed;
-    } else if (arg.rfind("--die-after-checkpoints=", 0) == 0) {
-      const StatusOr<size_t> parsed =
-          ParseSize(arg.substr(24), "--die-after-checkpoints");
-      if (!parsed.ok()) return parsed.status();
-      config.die_after_checkpoints = *parsed;
     } else if (arg.rfind("--", 0) == 0) {
       return Status::InvalidArgument("unknown worker flag: " + arg);
     } else if (config.shard_path.empty()) {

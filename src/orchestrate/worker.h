@@ -37,11 +37,6 @@ struct ShardWorkerConfig {
   double min_support = 0.01;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
   size_t num_threads = 1;
-  /// Failure-schedule hook for the recovery tests: after the Nth checkpoint
-  /// file has been written, the worker raises SIGKILL against itself —
-  /// a deterministic stand-in for "crashed mid-run with a checkpoint on
-  /// disk". 0 = off.
-  size_t die_after_checkpoints = 0;
 };
 
 /// Runs one shard worker to completion. On success the ShardResult is on

@@ -112,9 +112,6 @@ StatusOr<Request> ParseRequest(std::string_view line) {
       StatusOr<Algorithm> parsed = ParseAlgorithm(name);
       if (!parsed.ok()) return parsed.status();
       request.algorithm = *parsed;
-    } else if (key == "use_array_fast_path") {
-      PINCER_RETURN_IF_ERROR(
-          ParseBoolField(value, key, request.use_array_fast_path));
     } else if (key == "max_passes") {
       PINCER_RETURN_IF_ERROR(ParseUintField(value, key, request.max_passes));
     } else if (key == "mfcs_cardinality_limit") {

@@ -42,7 +42,6 @@ struct Request {
   std::string database;
   double min_support = 0.0;
   Algorithm algorithm = Algorithm::kPincerAdaptive;
-  bool use_array_fast_path = true;
   size_t max_passes = 0;
   size_t mfcs_cardinality_limit = 0;
   size_t mfcs_work_limit = 0;

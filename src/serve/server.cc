@@ -250,7 +250,6 @@ std::string MiningService::HandleMine(const Request& request) {
   MiningOptions options;
   options.min_support = request.min_support;
   options.backend = CounterBackend::kAuto;
-  options.use_array_fast_path = request.use_array_fast_path;
   options.max_passes = request.max_passes;
   options.mfcs_cardinality_limit = request.mfcs_cardinality_limit;
   options.mfcs_work_limit = request.mfcs_work_limit;
@@ -272,16 +271,13 @@ std::string MiningService::HandleMine(const Request& request) {
       EffectiveMiningOptions(options, request.algorithm);
   const std::string_view algorithm_id =
       CheckpointAlgorithmId(request.algorithm);
-  const size_t combine_threshold =
-      CheckpointCombineThreshold(request.algorithm);
   const std::string key =
-      resident->cache_key + "|" +
-      OptionsFingerprint(effective, algorithm_id, combine_threshold);
+      resident->cache_key + "|" + OptionsFingerprint(effective, algorithm_id);
   MiningOptions family_options = effective;
   family_options.min_support = 0;
   const std::string family =
       resident->cache_key + "|" +
-      OptionsFingerprint(family_options, algorithm_id, combine_threshold);
+      OptionsFingerprint(family_options, algorithm_id);
   const uint64_t min_count =
       resident->db.MinSupportCount(request.min_support);
 

@@ -40,7 +40,9 @@ std::vector<FrequentItemset> BruteForceFrequent(const TransactionDatabase& db,
     for (uint32_t mask : transaction_masks) {
       if ((subset & mask) == subset) ++count;
     }
-    if (count >= min_count) frequent.push_back({ItemsetFromMask(subset), count});
+    if (count >= min_count) {
+      frequent.push_back({ItemsetFromMask(subset), count});
+    }
   }
   std::sort(frequent.begin(), frequent.end());
   return frequent;

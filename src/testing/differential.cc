@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "apriori/apriori.h"
-#include "apriori/apriori_combined.h"
 #include "core/pincer_search.h"
 #include "counting/array_counters.h"
 #include "counting/counter_factory.h"
@@ -39,8 +38,7 @@ std::string DifferentialConfig::Label() const {
   std::ostringstream os;
   os << DifferentialMinerName(miner) << '/'
      << CounterBackendName(options.backend) << "/s" << options.min_support
-     << "/t" << options.num_threads
-     << (options.use_array_fast_path ? "/fast" : "/nofast");
+     << "/t" << options.num_threads;
   if (miner == Miner::kPincer) os << "/mfcs" << options.mfcs_cardinality_limit;
   if (miner == Miner::kPartition) os << "/p" << num_partitions;
   if (miner == Miner::kSampling) {
@@ -52,8 +50,6 @@ std::string DifferentialConfig::Label() const {
 std::vector<DifferentialConfig> BuildConfigGrid(const DifferentialGrid& grid) {
   using Miner = DifferentialConfig::Miner;
   std::vector<DifferentialConfig> configs;
-  std::vector<bool> fast_settings = {true};
-  if (grid.include_fast_path_off) fast_settings.push_back(false);
 
   for (double support : grid.min_supports) {
     for (size_t threads : grid.thread_counts) {
@@ -63,26 +59,19 @@ std::vector<DifferentialConfig> BuildConfigGrid(const DifferentialGrid& grid) {
         base.backend = backend;
         base.num_threads = threads;
 
-        for (bool fast : fast_settings) {
-          MiningOptions options = base;
-          options.use_array_fast_path = fast;
+        DifferentialConfig apriori;
+        apriori.miner = Miner::kApriori;
+        apriori.options = base;
+        configs.push_back(apriori);
 
-          DifferentialConfig apriori;
-          apriori.miner = Miner::kApriori;
-          apriori.options = options;
-          configs.push_back(apriori);
-
-          for (size_t limit : grid.mfcs_limits) {
-            DifferentialConfig pincer;
-            pincer.miner = Miner::kPincer;
-            pincer.options = options;
-            pincer.options.mfcs_cardinality_limit = limit;
-            configs.push_back(pincer);
-          }
+        for (size_t limit : grid.mfcs_limits) {
+          DifferentialConfig pincer;
+          pincer.miner = Miner::kPincer;
+          pincer.options = base;
+          pincer.options.mfcs_cardinality_limit = limit;
+          configs.push_back(pincer);
         }
 
-        // The combined-pass miner has no fast-path toggle: passes 1-2 are
-        // always the array paths.
         DifferentialConfig combined;
         combined.miner = Miner::kAprioriCombined;
         combined.options = base;
@@ -212,7 +201,8 @@ std::vector<std::string> CheckStatsInvariants(const MiningStats& stats,
       fail("pass " + number(pass.pass) + " has a negative phase timer");
     }
     // backend_used names the backend that actually served the pass: a
-    // concrete CounterBackendName, or "array" for fast-path-only passes.
+    // concrete CounterBackendName, or "array" for a pass the §4.1.1 arrays
+    // counted.
     // "auto" in particular must never appear — kAuto builds a concrete
     // engine, which reports itself.
     if (pass.backend_used != "array" && pass.backend_used != "linear" &&
@@ -505,8 +495,7 @@ void RunConfigsOnDatabase(const TransactionDatabase& db,
     // Passes 1 and 2 of the paper drivers: their backend_used names where
     // their own candidates were counted, whatever MFCS elements a Pincer
     // pass counts after them.
-    if (config.options.use_array_fast_path &&
-        config.miner != Miner::kPartition && config.miner != Miner::kSampling) {
+    if (config.miner != Miner::kPartition && config.miner != Miner::kSampling) {
       const bool holds_index =
           config.options.backend == CounterBackend::kVertical ||
           config.options.backend == CounterBackend::kAuto;

@@ -1,13 +1,12 @@
 // Randomized differential stress harness: the permanent correctness
 // subsystem behind the repo's "five backends, two miners, two extension
 // miners" guarantee. Every miner is run over a seeded grid of small Quest
-// databases across every counting backend × array-fast-path setting ×
-// thread count × adaptive-MFCS cap, and each run must (a) reproduce the
-// brute-force oracle bit for bit (itemsets and supports) and (b) satisfy
-// the cross-field MiningStats invariants — including that the schema-v1
-// stats JSON re-serializes the same numbers. Divergence anywhere in the
-// matrix is a bug by definition: the backends are interchangeable only
-// because this sweep says so.
+// databases across every counting backend × thread count × adaptive-MFCS
+// cap, and each run must (a) reproduce the brute-force oracle bit for bit
+// (itemsets and supports) and (b) satisfy the cross-field MiningStats
+// invariants — including that the schema-v1 stats JSON re-serializes the
+// same numbers. Divergence anywhere in the matrix is a bug by definition:
+// the backends are interchangeable only because this sweep says so.
 
 #ifndef PINCER_TESTING_DIFFERENTIAL_H_
 #define PINCER_TESTING_DIFFERENTIAL_H_
@@ -50,16 +49,18 @@ struct DifferentialConfig {
   double sample_fraction = 0.3;
   uint64_t sampling_seed = 1;
 
-  /// Compact "miner/backend/fast/threads/..." tag used in failure messages.
+  /// Compact "miner/backend/support/threads/..." tag used in failure
+  /// messages.
   std::string Label() const;
 };
 
 std::string_view DifferentialMinerName(DifferentialConfig::Miner miner);
 
 /// Axes of the configuration grid BuildConfigGrid expands (full cross
-/// product per miner, minus axes a miner ignores — e.g. the combined-pass
-/// miner always uses the array fast paths, and the MFCS caps only apply to
-/// Pincer).
+/// product per miner, minus axes a miner ignores — the MFCS caps only apply
+/// to Pincer). The default grid is 180 configurations per database: per
+/// support, thread count and backend, Apriori, the combined variant, Pincer
+/// at each MFCS cap, Partition and Sampling.
 struct DifferentialGrid {
   std::vector<double> min_supports = {0.05, 0.25};
   std::vector<size_t> thread_counts = {1, 2, 8};
@@ -67,8 +68,6 @@ struct DifferentialGrid {
   /// switch-off early, exercising the bottom-up recovery path.
   std::vector<size_t> mfcs_limits = {0, 2};
   std::vector<size_t> partition_counts = {3};
-  /// Also run every applicable config with use_array_fast_path = false.
-  bool include_fast_path_off = true;
   /// Include the Partition and Sampling extension miners.
   bool include_extensions = true;
 };
@@ -116,13 +115,13 @@ struct DifferentialReport {
   size_t configs_run = 0;
   size_t databases = 0;
   /// Pass-1 item counts of the paper drivers (Apriori, the combined
-  /// variant, Pincer) with the array fast path, by where pass 1 recorded
-  /// they came from: the vertical index's item supports or the array scan.
+  /// variant, Pincer), by where pass 1 recorded they came from: the
+  /// vertical index's item supports or the array scan.
   size_t index_item_counts = 0;
   size_t array_item_counts = 0;
-  /// Pass-2 pair fills of the paper drivers with the array fast path under
-  /// a backend that holds a vertical index (vertical, auto), by the engine
-  /// pass 2 recorded: the index fill or the array scan.
+  /// Pass-2 pair fills of the paper drivers under a backend that holds a
+  /// vertical index (vertical, auto), by the engine pass 2 recorded: the
+  /// index fill or the array scan.
   size_t index_pair_fills = 0;
   size_t array_pair_fills = 0;
   /// Reruns whose pass 2 was copied from a pre-filled pair table.
@@ -136,14 +135,13 @@ struct DifferentialReport {
 
 /// Runs every config against `db`, comparing mined results bit for bit
 /// against the brute-force oracle (computed once per distinct min_support)
-/// and checking stats invariants: a paper driver's pass-1 and pass-2
-/// array fast paths must record "array" under a backend without a vertical
-/// index. Each config then runs twice more with a pair table
-/// (MiningOptions::resident_pairs), one filled by a mine below every
-/// threshold of `configs` and one filled by the config's own run; each
-/// rerun must match the oracle and the first run's per-pass figures and
-/// backend_used. Appends to `report`, tallying the pass-1 and pass-2
-/// sources and the reruns the tables served.
+/// and checking stats invariants: a paper driver's passes 1 and 2 must
+/// record "array" under a backend without a vertical index. Each config
+/// then runs twice more with a pair table (MiningOptions::resident_pairs),
+/// one filled by a mine below every threshold of `configs` and one filled
+/// by the config's own run; each rerun must match the oracle and the first
+/// run's per-pass figures and backend_used. Appends to `report`, tallying
+/// the pass-1 and pass-2 sources and the reruns the tables served.
 void RunConfigsOnDatabase(const TransactionDatabase& db,
                           std::string_view db_label,
                           const std::vector<DifferentialConfig>& configs,

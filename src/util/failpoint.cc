@@ -1,5 +1,6 @@
 #include "util/failpoint.h"
 
+#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -103,6 +104,8 @@ HitResult Hit(std::string_view name) {
       break;
   }
   if (fire) ++point.fires;
+  // Dies here, the registry lock held: nothing runs after a crash.
+  if (fire && point.config.effect == Effect::kKill) (void)std::raise(SIGKILL);
   return HitResult{fire, point.config.effect};
 }
 
@@ -114,6 +117,7 @@ Status ErrorFor(std::string_view name, Effect effect) {
       return Status::InvalidArgument(message);
     case Effect::kIoError:
     case Effect::kCorruptRow:
+    case Effect::kKill:
       return Status::IoError(message);
   }
   return Status::Internal(message);
@@ -200,6 +204,8 @@ Status ParseClause(std::string_view spec, std::string_view clause,
     config.effect = Effect::kInvalidArgument;
   } else if (effect_text == "corrupt") {
     config.effect = Effect::kCorruptRow;
+  } else if (effect_text == "kill") {
+    config.effect = Effect::kKill;
   } else {
     return MalformedSpec(spec,
                          "unknown effect '" + std::string(effect_text) + "'");

@@ -3,7 +3,8 @@
 // deterministically. Production code declares a point by name and asks it
 // whether to fire; tests arm the point with a trigger (fire once at the
 // n-th hit, every n-th hit, or with a seeded probability) and an effect
-// (return an IoError / InvalidArgument Status, or corrupt the row buffer).
+// (return an IoError / InvalidArgument Status, corrupt the row buffer, or
+// SIGKILL the process the way a crash kills it).
 //
 // The fast path is a single relaxed atomic load of a global "any armed"
 // flag: when no failpoint is armed — the production state — a hit costs one
@@ -44,6 +45,7 @@ enum class Effect {
   kIoError,          // return Status::IoError (transient-read flavor)
   kInvalidArgument,  // return Status::InvalidArgument
   kCorruptRow,       // append a non-numeric token to the row buffer
+  kKill,             // raise SIGKILL at the firing hit: no cleanup, no return
 };
 
 /// When an armed failpoint fires.
@@ -105,12 +107,15 @@ struct HitResult {
 };
 
 /// Records a hit on `name` and reports whether it fires. Callers should
-/// gate on AnyArmed() first (the macros below do).
+/// gate on AnyArmed() first (the macros below do). A firing kKill point
+/// never returns: the process dies by SIGKILL inside the call, so what the
+/// crash-recovery paths see is exactly a crash at that point (e.g.
+/// `checkpoint.write=once@3:kill` dies with two checkpoints on disk).
 HitResult Hit(std::string_view name);
 
 /// The Status a fired point of the given effect produces. kCorruptRow maps
 /// to an IoError (callers that cannot corrupt anything still need a
-/// status).
+/// status); a fired kKill never gets here.
 Status ErrorFor(std::string_view name, Effect effect);
 
 /// Applies the kCorruptRow effect: appends a non-numeric token to `row`,
@@ -120,7 +125,7 @@ void CorruptRow(std::string& row);
 /// Arms failpoints from a spec string:
 ///   name=trigger[:effect][,name=trigger[:effect]...]
 /// where trigger is `once`, `once@N`, `every@N`, or `prob@P@SEED`, and
-/// effect is `io` (default), `invalid`, or `corrupt`. Example:
+/// effect is `io` (default), `invalid`, `corrupt`, or `kill`. Example:
 ///   streaming.read=once@3:io,checkpoint.write=every@2:io
 /// Returns InvalidArgument on a malformed spec (nothing is armed then).
 Status ArmFromSpec(std::string_view spec);
@@ -146,7 +151,8 @@ inline bool AnyArmed() {
 #define PINCER_FAILPOINT(name)                                              \
   do {                                                                      \
     if (::pincer::failpoint::AnyArmed()) {                                  \
-      const ::pincer::failpoint::HitResult _fp = ::pincer::failpoint::Hit(name); \
+      const ::pincer::failpoint::HitResult _fp =                            \
+          ::pincer::failpoint::Hit(name);                                   \
       if (_fp.fired) return ::pincer::failpoint::ErrorFor(name, _fp.effect); \
     }                                                                       \
   } while (false)

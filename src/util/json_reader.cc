@@ -203,10 +203,15 @@ class Parser {
             for (int i = 0; i < 4; ++i) {
               const char h = text_[pos_ + i];
               code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Error("bad \\u escape");
+              if (h >= '0' && h <= '9') {
+                code |= static_cast<unsigned>(h - '0');
+              } else if (h >= 'a' && h <= 'f') {
+                code |= static_cast<unsigned>(h - 'a' + 10);
+              } else if (h >= 'A' && h <= 'F') {
+                code |= static_cast<unsigned>(h - 'A' + 10);
+              } else {
+                return Error("bad \\u escape");
+              }
             }
             pos_ += 4;
             // Encode the BMP code point as UTF-8; surrogate pairs are not

@@ -35,8 +35,9 @@ inline constexpr int kStatsJsonSchemaVersion = 1;
 /// deadline (so `aborted` and the budget latch can be reconciled by
 /// consumers). v1.2 (= 2) added the per-pass `backend_used` string — the
 /// counting backend that served the pass (under backend=auto the engine
-/// built for the database, "array" for fast-path-only passes). v1.1 (= 1) added the
-/// per-pass `mfcs_index_ms` phase timer. Documents written by older
+/// built for the database, "array" for a pass counted on the §4.1.1
+/// arrays alone). v1.1 (= 1) added the per-pass `mfcs_index_ms` phase
+/// timer. Documents written by older
 /// binaries simply lack the `schema_minor` key (read it as 0).
 inline constexpr int kStatsJsonSchemaMinorVersion = 4;
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apriori/apriori.h"
-#include "apriori/apriori_combined.h"
 #include "mining/miner.h"
 #include "testing/brute_force.h"
 #include "testing/db_builder.h"
@@ -59,16 +58,6 @@ TEST(AprioriCombined, UsesFewerPassesOnDeepLattice) {
   EXPECT_EQ(plain.stats.passes, 10u);
   EXPECT_LT(combined.stats.passes, plain.stats.passes);
   EXPECT_LE(combined.stats.passes, 6u);
-}
-
-TEST(AprioriCombined, ThresholdZeroDisablesCombining) {
-  TransactionDatabase db(8);
-  for (int i = 0; i < 20; ++i) db.AddTransaction({0, 1, 2, 3, 4});
-  CombinedPassOptions no_combine;
-  no_combine.combine_threshold = 0;
-  const FrequentSetResult result =
-      AprioriCombinedMine(db, WithSupport(0.5), no_combine);
-  EXPECT_EQ(result.stats.passes, 5u);  // behaves like plain Apriori
 }
 
 TEST(AprioriCombined, AvailableThroughFacade) {

@@ -59,18 +59,6 @@ TEST(Apriori, AllBackendsAgree) {
   }
 }
 
-TEST(Apriori, FastPathIsBehaviorPreserving) {
-  RandomDbParams params;
-  params.num_items = 8;
-  params.num_transactions = 40;
-  params.seed = 6;
-  const TransactionDatabase db = MakeRandomDatabase(params);
-  MiningOptions fast = WithSupport(0.2);
-  MiningOptions slow = fast;
-  slow.use_array_fast_path = false;
-  EXPECT_EQ(AprioriMine(db, fast).frequent, AprioriMine(db, slow).frequent);
-}
-
 TEST(Apriori, PassesEqualLongestFrequentItemset) {
   // Bottom-up must take exactly max_len passes (one level per pass).
   TransactionDatabase db(8);

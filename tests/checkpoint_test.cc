@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "counting/array_counters.h"
@@ -106,7 +109,8 @@ TEST(Checkpoint, SerializationIsDeterministic) {
 TEST(Checkpoint, RejectsWrongVersion) {
   Checkpoint checkpoint = MakeFullCheckpoint();
   checkpoint.version = kCheckpointVersion + 1;
-  const StatusOr<Checkpoint> parsed = ParseCheckpoint(checkpoint.ToJsonString());
+  const StatusOr<Checkpoint> parsed =
+      ParseCheckpoint(checkpoint.ToJsonString());
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
@@ -249,9 +253,6 @@ TEST(OptionsFingerprint, SeparatesResultAffectingOptions) {
   MiningOptions support = options;
   support.min_support = 0.2;
   EXPECT_NE(OptionsFingerprint(support, "pincer"), base);
-  MiningOptions fast = options;
-  fast.use_array_fast_path = false;
-  EXPECT_NE(OptionsFingerprint(fast, "pincer"), base);
   MiningOptions caps = options;
   caps.mfcs_cardinality_limit = 7;
   EXPECT_NE(OptionsFingerprint(caps, "pincer"), base);
@@ -267,9 +268,9 @@ TEST(OptionsFingerprint, SeparatesResultAffectingOptions) {
   invariant.verbose = true;
   EXPECT_EQ(OptionsFingerprint(invariant, "pincer"), base);
 
-  // The combined-pass threshold participates only for apriori-combined.
-  EXPECT_NE(OptionsFingerprint(options, "apriori-combined", 50),
-            OptionsFingerprint(options, "apriori-combined", 100));
+  // The two Apriori variants share every option but not their passes.
+  EXPECT_NE(OptionsFingerprint(options, "apriori-combined"),
+            OptionsFingerprint(options, "apriori"));
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +355,46 @@ TEST(CheckpointResume, AprioriCombinedIsDeterministic) {
 
 TEST(CheckpointResume, PincerIsDeterministic) {
   RunResumeSweep(Algorithm::kPincer);
+}
+
+TEST(CheckpointResume, CombinedLevelMissingAPrecountGetsItsOwnPass) {
+  // Every subset of one 10-item pattern is frequent, so pass 3 counts the
+  // optimistic level 4 too and level 4 normally needs no read. A
+  // checkpoint whose precounts lack one of its candidates resumes by
+  // counting level 4 in a pass of its own, never by borrowing a
+  // neighbour's count.
+  TransactionDatabase db(12);
+  for (int i = 0; i < 30; ++i) {
+    db.AddTransaction({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  }
+  MiningOptions options;
+  options.min_support = 0.5;
+  std::vector<Checkpoint> checkpoints;
+  MiningOptions recording = options;
+  recording.checkpoint_sink = [&](const Checkpoint& checkpoint) {
+    checkpoints.push_back(checkpoint);
+    return Status::OK();
+  };
+  const MaximalSetResult reference =
+      MineMaximal(db, recording, Algorithm::kAprioriCombined);
+  const auto before_level_four = std::find_if(
+      checkpoints.begin(), checkpoints.end(),
+      [](const Checkpoint& recorded) { return recorded.next_pass == 4; });
+  ASSERT_NE(before_level_four, checkpoints.end());
+  Checkpoint partial = *before_level_four;
+  ASSERT_GE(partial.precounted.size(), 2u);
+  partial.precounted.erase(partial.precounted.begin());
+
+  const StatusOr<MaximalSetResult> resumed =
+      ResumeMaximal(db, options, Algorithm::kAprioriCombined, partial);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->mfs, reference.mfs);
+  const auto has_pass_four = [](const MiningStats& stats) {
+    return std::any_of(stats.per_pass.begin(), stats.per_pass.end(),
+                       [](const PassStats& pass) { return pass.pass == 4; });
+  };
+  EXPECT_FALSE(has_pass_four(reference.stats));
+  EXPECT_TRUE(has_pass_four(resumed->stats));
 }
 
 TEST(CheckpointResume, PincerAdaptiveIsDeterministic) {
@@ -498,10 +539,9 @@ TEST(CheckpointResume, RejectsStaleCheckpoints) {
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 
-    // A pass-2 matrix one count short: the fast path's triangle over
-    // pair_items no longer fills, and resume must refuse it rather than
-    // read counts off by one rank.
-    ASSERT_TRUE(options.use_array_fast_path);
+    // A pass-2 matrix one count short: the triangle over pair_items no
+    // longer fills, and resume must refuse it rather than read counts off
+    // by one rank.
     const auto after_pass_two = std::find_if(
         pincer_checkpoints.begin(), pincer_checkpoints.end(),
         [](const Checkpoint& recorded) { return recorded.next_pass == 3; });
@@ -586,6 +626,93 @@ TEST(CheckpointResume, FailingSinkDoesNotFailTheRun) {
   EXPECT_GT(attempts, 0u);
   EXPECT_EQ(result.mfs, reference.mfs);
   EXPECT_FALSE(result.stats.aborted);
+}
+
+// ---------------------------------------------------------------------------
+// Sections: a driver resumes only the sections it writes. Any other that is
+// non-empty is refused with an error naming it, never ignored or consumed.
+
+// Forges `section` into the first checkpoint each of `algorithms` writes on
+// ResumeDb and expects the resume to refuse it by name.
+void ExpectSectionRefused(std::string_view section,
+                          std::initializer_list<Algorithm> algorithms,
+                          const std::function<void(Checkpoint&)>& forge) {
+  const TransactionDatabase db = ResumeDb();
+  MiningOptions options;
+  options.min_support = 0.15;
+  std::string named = "'";
+  named.append(section).append("' section");
+  for (const Algorithm algorithm : algorithms) {
+    const std::string context(AlgorithmName(algorithm));
+    std::vector<Checkpoint> checkpoints;
+    MiningOptions recording = options;
+    recording.checkpoint_sink = [&](const Checkpoint& checkpoint) {
+      checkpoints.push_back(checkpoint);
+      return Status::OK();
+    };
+    MineMaximal(db, recording, algorithm);
+    ASSERT_FALSE(checkpoints.empty()) << context;
+    ASSERT_TRUE(ResumeMaximal(db, options, algorithm, checkpoints.front())
+                    .ok())
+        << context;
+    Checkpoint forged = checkpoints.front();
+    forge(forged);
+    const StatusOr<MaximalSetResult> resumed =
+        ResumeMaximal(db, options, algorithm, forged);
+    ASSERT_FALSE(resumed.ok()) << context;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_NE(resumed.status().message().find(named), std::string::npos)
+        << context << ": " << resumed.status().message();
+  }
+}
+
+TEST(CheckpointSections, OnlyTheCombinedVariantResumesPrecounted) {
+  ExpectSectionRefused("precounted", {Algorithm::kApriori, Algorithm::kPincer},
+                       [](Checkpoint& checkpoint) {
+                         checkpoint.precounted = {{Itemset{0, 1, 2}, 3}};
+                       });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesMfs) {
+  ExpectSectionRefused(
+      "mfs", {Algorithm::kApriori, Algorithm::kAprioriCombined},
+      [](Checkpoint& checkpoint) { checkpoint.mfs = {{Itemset{0}, 5}}; });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesMfcs) {
+  ExpectSectionRefused(
+      "mfcs", {Algorithm::kApriori, Algorithm::kAprioriCombined},
+      [](Checkpoint& checkpoint) { checkpoint.mfcs = {Itemset{0, 1}}; });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesSupportCache) {
+  ExpectSectionRefused("support_cache",
+                       {Algorithm::kApriori, Algorithm::kAprioriCombined},
+                       [](Checkpoint& checkpoint) {
+                         checkpoint.support_cache = {{Itemset{0, 1}, 3}};
+                       });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesSingletonCounts) {
+  ExpectSectionRefused("singleton_counts",
+                       {Algorithm::kApriori, Algorithm::kAprioriCombined},
+                       [](Checkpoint& checkpoint) {
+                         checkpoint.singleton_counts.assign(
+                             checkpoint.database.items, 1);
+                       });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesPairItems) {
+  ExpectSectionRefused(
+      "pair_items", {Algorithm::kApriori, Algorithm::kAprioriCombined},
+      [](Checkpoint& checkpoint) { checkpoint.pair_items = {0, 1}; });
+}
+
+TEST(CheckpointSections, OnlyPincerResumesPairCounts) {
+  ExpectSectionRefused(
+      "pair_counts", {Algorithm::kApriori, Algorithm::kAprioriCombined},
+      [](Checkpoint& checkpoint) { checkpoint.pair_counts = {1}; });
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The differential stress sweep: every miner × every backend × fast-path
-// on/off × 1/2/8 threads × adaptive-MFCS caps over seeded Quest databases
-// and handcrafted adversarial databases, checked bit for bit against the
-// brute-force oracle plus the MiningStats invariants. This is the tier-1
+// The differential stress sweep: every miner × every backend × 1/2/8
+// threads × adaptive-MFCS caps over seeded Quest databases and handcrafted
+// adversarial databases, checked bit for bit against the brute-force
+// oracle plus the MiningStats invariants. This is the tier-1
 // guardrail behind "the backends are interchangeable" — any divergence
 // anywhere in the matrix fails here with the full config label.
 
@@ -59,7 +59,8 @@ std::vector<QuestParams> SweepShapes() {
 
 TEST(DifferentialStress, GridIsLargeEnough) {
   // The acceptance bar: the default grid expands to >= 200 configurations
-  // over the sweep's shapes, so the sweep below cannot silently shrink.
+  // over the sweep's shapes (180 per database, 540 over the three), so the
+  // sweep below cannot silently shrink.
   const std::vector<DifferentialConfig> configs =
       BuildConfigGrid(DifferentialGrid());
   EXPECT_GE(configs.size() * SweepShapes().size(), 200u)
@@ -106,7 +107,13 @@ TEST(DifferentialStress, AdversarialDatabases) {
   DifferentialReport report;
 
   RunConfigsOnDatabase(
-      MakeDatabase({{}, {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2}, {0, 1, 2}, {}, {3, 4}, {0, 1, 2}},
+      MakeDatabase({{},
+                    {0, 1, 2, 3, 4, 5, 6, 7},
+                    {0, 1, 2},
+                    {0, 1, 2},
+                    {},
+                    {3, 4},
+                    {0, 1, 2}},
                    /*num_items=*/9),
       "adversarial-mixed", configs, report);
   RunConfigsOnDatabase(
@@ -144,11 +151,11 @@ void ExpectMfsSupportsInTable(const MaximalSetResult& result,
 }
 
 TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
-  // Checkpoint/resume differential: every algorithm × fast-path setting
-  // over a Quest database — capture a checkpoint after every pass, resume
-  // from each one through its JSON form, and demand the bit-identical MFS
-  // and supports of the uninterrupted run, and a support table that holds
-  // every MFS element's support.
+  // Checkpoint/resume differential: every algorithm × backend over a Quest
+  // database — capture a checkpoint after every pass, resume from each one
+  // through its JSON form, and demand the bit-identical MFS and supports of
+  // the uninterrupted run, and a support table that holds every MFS
+  // element's support.
   const StatusOr<TransactionDatabase> db =
       GenerateQuestDatabase(SweepShapes()[1]);
   ASSERT_TRUE(db.ok()) << db.status();
@@ -156,15 +163,13 @@ TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
   for (const Algorithm algorithm :
        {Algorithm::kApriori, Algorithm::kAprioriCombined, Algorithm::kPincer,
         Algorithm::kPincerAdaptive}) {
-    for (const bool fast_path : {true, false}) {
-     for (const CounterBackend backend :
-          {CounterBackend::kTrie, CounterBackend::kAuto}) {
+    for (const CounterBackend backend :
+         {CounterBackend::kTrie, CounterBackend::kAuto}) {
       MiningOptions options;
       options.min_support = 0.05;
-      options.use_array_fast_path = fast_path;
       options.backend = backend;
       const std::string context = std::string(AlgorithmName(algorithm)) +
-                                  (fast_path ? "/fast" : "/generic") + "/" +
+                                  "/" +
                                   std::string(CounterBackendName(backend));
 
       std::vector<Checkpoint> checkpoints;
@@ -201,7 +206,6 @@ TEST(DifferentialStress, ResumeMatchesUninterruptedRunEverywhere) {
         }
         ++resumes_checked;
       }
-     }
     }
   }
   EXPECT_GE(resumes_checked, 32u);

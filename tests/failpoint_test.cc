@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdio>
+
 #include "util/failpoint.h"
 
 namespace pincer {
@@ -148,6 +151,22 @@ TEST_F(FailpointTest, MalformedSpecArmsNothing) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << spec;
     EXPECT_FALSE(failpoint::AnyArmed()) << spec;
   }
+}
+
+TEST(FailpointDeathTest, KillEffectRaisesSigkillAtTheArmedHit) {
+  // The spec arms `kill`; the first hit passes, the armed one ends the
+  // process by SIGKILL before the call returns. A process that survives
+  // it, or a spec that arms nothing, fails the death test.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        failpoint::DisarmAll();
+        (void)failpoint::ArmFromSpec("test.kill=once@2:kill");
+        (void)HitAsStatus("test.kill");
+        (void)std::fputs("survived the first hit\n", stderr);
+        (void)HitAsStatus("test.kill");
+      },
+      ::testing::KilledBySignal(SIGKILL), "survived the first hit");
 }
 
 TEST_F(FailpointTest, EmptyAndSingleClauseSpecs) {

@@ -130,7 +130,8 @@ TEST_F(FaultInjectionTest, SkipPolicyDropsCorruptRowsAndCountsThem) {
   const StatusOr<std::vector<uint64_t>> counts =
       counter.CountSupports(Candidates());
   ASSERT_TRUE(counts.ok()) << counts.status();
-  EXPECT_EQ(counter.rows_skipped(), failpoint::FireCount("streaming.parse_row"));
+  EXPECT_EQ(counter.rows_skipped(),
+            failpoint::FireCount("streaming.parse_row"));
   EXPECT_GT(counter.rows_skipped(), 0u);
   // Dropped rows shrink the scanned transaction count accordingly.
   EXPECT_EQ(counter.last_pass_transactions() + counter.rows_skipped(),

@@ -90,8 +90,8 @@ TEST(MiningRun, NestedOptionsShareThePoolAndNothingBoundToThisRun) {
   MiningOptions plain = options;
   plain.resident_counter = nullptr;
   plain.resident_pairs = nullptr;
-  EXPECT_EQ(OptionsFingerprint(options, "pincer", 0),
-            OptionsFingerprint(plain, "pincer", 0));
+  EXPECT_EQ(OptionsFingerprint(options, "pincer"),
+            OptionsFingerprint(plain, "pincer"));
 }
 
 TEST(MiningRun, SpentBudgetIsNeverPassedOnAsUnlimited) {
@@ -167,8 +167,7 @@ TEST(MiningRun, PassOneReadsTheIndexWhereTheCounterHasOne) {
     MiningRun run(db, options);
     PassStats pass;
     pass.pass = 1;
-    const std::optional<std::vector<uint64_t>> counts =
-        run.CountItems(pass, /*array_fast_path=*/true);
+    const std::optional<std::vector<uint64_t>> counts = run.CountItems(pass);
     ASSERT_TRUE(counts.has_value()) << context;
     EXPECT_EQ(*counts, expected) << context;
     const bool holds_index = run.counter().vertical_index() != nullptr;
@@ -192,7 +191,7 @@ TEST(MiningRun, TheFirstCountOfAPassNamesItsEngine) {
 
   PassStats one;
   one.pass = 1;
-  ASSERT_TRUE(run.CountItems(one, /*array_fast_path=*/true).has_value());
+  ASSERT_TRUE(run.CountItems(one).has_value());
   ASSERT_TRUE(run.Count(mfcs, one).has_value());
   EXPECT_EQ(one.backend_used, "array");
 

@@ -39,7 +39,6 @@ TEST(ShardWorker, ArgvRoundTripPreservesEveryField) {
   config.min_support = 0.037;
   config.algorithm = Algorithm::kPincer;
   config.num_threads = 3;
-  config.die_after_checkpoints = 5;
 
   const std::vector<std::string> argv = ShardWorkerArgv("/path/bin", config);
   ASSERT_GE(argv.size(), 3u);
@@ -56,7 +55,6 @@ TEST(ShardWorker, ArgvRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed->min_support, config.min_support);
   EXPECT_EQ(parsed->algorithm, config.algorithm);
   EXPECT_EQ(parsed->num_threads, config.num_threads);
-  EXPECT_EQ(parsed->die_after_checkpoints, config.die_after_checkpoints);
 }
 
 TEST(ShardWorker, ParseRejectsBadArgv) {
@@ -230,14 +228,16 @@ TEST_F(OrchestratorTest, SkipPolicyMatchesTheInMemoryReader) {
   EXPECT_EQ(result->stats.transactions, db->size());
 }
 
-// Crash recovery: every worker SIGKILLs itself after its first checkpoint
-// write, relaunches with --resume, and the merged answer is still
-// bit-identical. This is the "every worker killed at least once" schedule.
+// Crash recovery: every worker SIGKILLs itself at its second checkpoint
+// write, with the first on disk, relaunches with --resume, and the merged
+// answer is still bit-identical. This is the "every worker killed at least
+// once" schedule.
 TEST_F(OrchestratorTest, RecoversEveryWorkerFromSigkillViaCheckpoints) {
   OrchestratorOptions options = BaseOptions("sigkill");
   options.num_shards = 4;
   options.slots = 2;
-  options.die_after_checkpoints = 1;
+  options.first_attempt_env = {
+      {"PINCER_FAILPOINTS", "checkpoint.write=once@2:kill"}};
   const StatusOr<OrchestratorResult> result =
       OrchestrateMining(database_path_, options);
   ASSERT_TRUE(result.ok()) << result.status();

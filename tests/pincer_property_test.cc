@@ -93,27 +93,6 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendsAgree,
                            return std::string(CounterBackendName(info.param));
                          });
 
-// The array fast path for passes 1-2 must not change results.
-TEST(PincerProperty, FastPathIsBehaviorPreserving) {
-  for (uint64_t seed = 100; seed < 108; ++seed) {
-    RandomDbParams params;
-    params.num_items = 8;
-    params.num_transactions = 40;
-    params.item_probability = 0.4;
-    params.seed = seed;
-    const TransactionDatabase db = MakeRandomDatabase(params);
-
-    MiningOptions with_fast_path;
-    with_fast_path.min_support = 0.2;
-    MiningOptions without_fast_path = with_fast_path;
-    without_fast_path.use_array_fast_path = false;
-
-    EXPECT_EQ(PincerSearch(db, with_fast_path).mfs,
-              PincerSearch(db, without_fast_path).mfs)
-        << "seed=" << seed;
-  }
-}
-
 // Planted-pattern databases: long maximal itemsets (the paper's concentrated
 // regime). Pincer must find exactly the oracle MFS and, with the patterns
 // clearly frequent, the planted patterns must appear in it.

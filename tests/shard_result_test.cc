@@ -87,7 +87,8 @@ TEST(ShardResult, RejectsAFlippedSupport) {
 
 TEST(ShardResult, RejectsTruncation) {
   const std::string json = ShardResultToJson(MakeResult());
-  for (const size_t keep : {json.size() / 4, json.size() / 2, json.size() - 2}) {
+  for (const size_t keep :
+       {json.size() / 4, json.size() / 2, json.size() - 2}) {
     const StatusOr<ShardResult> parsed =
         ParseShardResult(json.substr(0, keep));
     EXPECT_FALSE(parsed.ok()) << "accepted a " << keep << "-byte prefix";

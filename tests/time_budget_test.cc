@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "apriori/apriori.h"
-#include "apriori/apriori_combined.h"
 #include "core/pincer_search.h"
 #include "counting/counter_factory.h"
 #include "counting/scan_budget.h"
@@ -112,18 +111,24 @@ TEST(TimeBudget, AbortsMidScanInsideASinglePass) {
 }
 
 TEST(TimeBudget, MidScanAbortWorksWithoutTheFastPath) {
-  // Same mid-scan poll, but through the generic backend's ChunkedCountScan
-  // instead of the pass-1 array fast path.
+  // Same mid-scan poll, but through the trie's ChunkedCountScan, which
+  // counts every pass >= 3 and every MFCS element, instead of the pass-1
+  // item array: the count stops and the run that asked for it is aborted.
   TransactionDatabase db(4);
   for (int i = 0; i < 10000; ++i) db.AddTransaction({0, 1, 2});
+  const std::vector<Itemset> batch = {Itemset{0, 1, 2}, Itemset{0, 1, 3}};
   MiningOptions options;
-  options.min_support = 0.5;
-  options.use_array_fast_path = false;
+  options.backend = CounterBackend::kTrie;
   options.time_budget_ms = 1e-6;
-  const FrequentSetResult result = AprioriMine(db, options);
-  EXPECT_TRUE(result.stats.aborted);
-  EXPECT_EQ(result.stats.passes, 0u);
-  EXPECT_TRUE(result.frequent.empty());
+  MiningRun run(db, options);
+  PassStats pass;
+  pass.pass = 3;
+  EXPECT_FALSE(run.Count(batch, pass).has_value());
+  EXPECT_EQ(pass.backend_used, "trie");
+  EXPECT_TRUE(run.aborted());
+  const MiningStats stats = run.Finish();
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_TRUE(stats.budget_exceeded);
 }
 
 // Regression for the dropped vertical plumbing: set_scan_budget used to be
@@ -208,28 +213,6 @@ TEST(TimeBudget, PrefixSharedBatchStopsAndAbortsTheRun) {
     EXPECT_EQ(*counts, std::vector<uint64_t>(batch.size(), db.size()))
         << context;
   }
-}
-
-TEST(TimeBudget, VerticalBackendAbortsMidScanInsideASinglePass) {
-  // End to end: pass 1 through the generic vertical backend with more
-  // candidates than the poll cadence. The aborted pass must leave no trace.
-  TransactionDatabase db(200);
-  for (int i = 0; i < 50; ++i) db.AddTransaction({0, 1, 2});
-  MiningOptions options;
-  options.min_support = 0.5;
-  options.backend = CounterBackend::kVertical;
-  options.use_array_fast_path = false;
-  options.time_budget_ms = 1e-6;  // already exceeded when the count starts
-
-  const FrequentSetResult apriori = AprioriMine(db, options);
-  EXPECT_TRUE(apriori.stats.aborted);
-  EXPECT_EQ(apriori.stats.passes, 0u);
-  EXPECT_TRUE(apriori.frequent.empty());
-
-  const MaximalSetResult pincer = PincerSearch(db, options);
-  EXPECT_TRUE(pincer.stats.aborted);
-  EXPECT_EQ(pincer.stats.passes, 0u);
-  EXPECT_TRUE(pincer.mfs.empty());
 }
 
 TEST(TimeBudget, PassTwoIndexFillAbortsTheRun) {
